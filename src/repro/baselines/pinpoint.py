@@ -191,13 +191,12 @@ class PinpointEngine:
             if config.effective_jobs > 1 or config.fault_plan is not None \
                     or config.faults.query_timeout is not None \
                     or config.breaker is not None:
-                spec = WorkerSpec(self.pdg, checker, self.config.sparse,
-                                  pinpoint_query_factory,
+                spec = WorkerSpec(self.pdg, pinpoint_query_factory,
                                   replace(self.config, budget=None),
                                   query_timeout=self.config.solver
                                   .time_limit,
                                   grouped=incremental,
-                                  sparsify=self.config.sparsify)
+                                  slice_index=index)
             execution = ExecutionPlan(config, spec, telemetry)
 
         triage = make_triage(self.pdg, checker, triage, view=view)

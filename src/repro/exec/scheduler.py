@@ -38,12 +38,11 @@ Worker model:
   lock-protected :class:`~repro.exec.cache.SliceCache`.  Useful for
   differential testing and on platforms without ``fork``; the GIL limits
   CPU parallelism.
-* **process** — each worker process receives the pickled
-  :class:`WorkerSpec` once (pool initializer), rebuilds the PDG and
-  re-collects the candidate list (collection is deterministic, so indices
-  agree with the parent), and keeps a private slice cache.  Batches move
-  only candidate *indices* and compact :class:`QueryOutcome` records
-  across the process boundary.
+* **process** — each worker process receives the :class:`WorkerSpec`
+  and the parent's candidate list once (pool initializer; under ``fork``
+  both are inherited, not pickled) and keeps a private slice cache.
+  Batches move only candidate *indices* and compact
+  :class:`QueryOutcome` records across the process boundary.
 
 Budgets are enforced at two cadences: the completion loop checks the run
 budget per absorbed batch, and workers receive the run clock as an
@@ -54,7 +53,6 @@ once it expires and return the partial batch.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
 import time
 from collections import deque
@@ -64,7 +62,7 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from repro.checkers.base import BugCandidate, Checker
+from repro.checkers.base import BugCandidate
 from repro.exec.breaker import CircuitBreaker
 from repro.exec.cache import SliceCache
 from repro.exec.faults import FaultPlan, FaultPolicy, backoff_delay
@@ -76,7 +74,6 @@ from repro.pdg.slicing import Slice
 from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import public_witness
-from repro.sparse.engine import SparseConfig, collect_candidates
 
 #: A per-query pure solver: ``(candidate, slice, deadline) -> (result,
 #: (total memory units, condition memory units))``.  Factories return
@@ -131,13 +128,12 @@ class ExecConfig:
 class WorkerSpec:
     """Everything a worker needs to rebuild per-query solver state.
 
-    Must be picklable for the process backend: the PDG, checker and
-    configs round-trip by value, ``query_factory`` by module reference.
+    Must be picklable for the process backend where ``fork`` is missing:
+    the PDG and configs round-trip by value, ``query_factory`` by module
+    reference.
     """
 
     pdg: ProgramDependenceGraph
-    checker: Checker
-    sparse: Optional[SparseConfig]
     query_factory: QueryFactory
     factory_config: object
     #: The engine's per-query wall-clock cap (its solver ``time_limit``);
@@ -152,14 +148,11 @@ class WorkerSpec:
     #: rebuilds the runner from scratch, so the degradation ladder's
     #: retry/requeue logic needs no special casing.
     grouped: bool = False
-    #: Checker-specific PDG sparsification: process workers that
-    #: re-collect the candidate list build the same pruned
-    #: :class:`~repro.pdg.reduce.SparsePDGView` the parent used, so
-    #: collection walks the identical adjacency (and hands the view's
-    #: condensed slice index to the worker's slice cache).  Collection
-    #: with and without the view is byte-identical by the pruning
-    #: contract; the flag only keeps worker-side *cost* in line.
-    sparsify: bool = False
+    #: The checker view's condensed :class:`~repro.pdg.reduce.SliceIndex`
+    #: (None without sparsification), handed to every worker's slice
+    #: cache.  Slices are set-identical with and without it; it only
+    #: keeps worker-side slicing *cost* in line with the parent's.
+    slice_index: object = None
 
 
 @dataclass
@@ -238,29 +231,19 @@ class _WorkerState:
 
     The thread backend builds one shared instance (candidates and cache
     shared, fresh engine per query); the process backend builds one per
-    worker process from the pickled spec.
+    worker process from the spec and candidates its initializer got.
     """
 
     def __init__(self, spec: WorkerSpec,
                  cache_capacity: Optional[int],
-                 candidates: Optional[list[BugCandidate]] = None,
+                 candidates: list[BugCandidate],
                  policy: Optional[FaultPolicy] = None,
                  plan: Optional[FaultPlan] = None,
                  process_worker: bool = False) -> None:
         self.pdg = spec.pdg
         self.spec = spec
-        slice_index = None
-        if candidates is None:
-            view = None
-            if spec.sparsify:
-                from repro.pdg.reduce import build_view
-
-                view = build_view(spec.pdg, spec.checker)
-                slice_index = view.slice_index
-            candidates = collect_candidates(spec.pdg, spec.checker,
-                                            spec.sparse, view=view)
         self.candidates = candidates
-        self.cache = SliceCache(cache_capacity, index=slice_index)
+        self.cache = SliceCache(cache_capacity, index=spec.slice_index)
         self.grouped = spec.grouped
         # Grouped (incremental) mode builds a fresh runner per batch in
         # solve_batch instead — a shared runner would make concurrent
@@ -359,11 +342,11 @@ def _describe(error: BaseException) -> str:
 _PROCESS_STATE: Optional[_WorkerState] = None
 
 
-def _process_init(spec_bytes: bytes, cache_capacity: Optional[int],
-                  policy: FaultPolicy,
+def _process_init(spec: WorkerSpec, candidates: list[BugCandidate],
+                  cache_capacity: Optional[int], policy: FaultPolicy,
                   plan: Optional[FaultPlan]) -> None:
     global _PROCESS_STATE
-    _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), cache_capacity,
+    _PROCESS_STATE = _WorkerState(spec, cache_capacity, candidates,
                                   policy=policy, plan=plan,
                                   process_worker=True)
 
@@ -418,10 +401,10 @@ class QueryScheduler:
         results gathered before the violation.
 
         ``indices`` (when given) restricts solving to those positions of
-        ``candidates`` — still *full-list* indices, because the process
-        backend's workers re-collect the complete candidate list and index
-        into it.  The triage stage uses this to route only NEEDS_SMT
-        candidates through the pool.
+        ``candidates`` — still *full-list* indices, because every worker
+        holds the complete candidate list and indexes into it.  The
+        triage stage uses this to route only NEEDS_SMT candidates through
+        the pool.
         """
         outcomes = sink if sink is not None else []
         index_list = (list(range(len(candidates))) if indices is None
@@ -584,7 +567,8 @@ class QueryScheduler:
         if level == "thread":
             return self._run_thread(candidates, work, outcomes, jobs,
                                     run_deadline)
-        return self._run_process(work, outcomes, jobs, run_deadline)
+        return self._run_process(candidates, work, outcomes, jobs,
+                                 run_deadline)
 
     def _run_inline(self, candidates: list[BugCandidate],
                     work: list[_Batch], outcomes: list[QueryOutcome],
@@ -640,10 +624,10 @@ class QueryScheduler:
             self._record_cache(state.cache)
             self._record_sessions(state.session_snapshot())
 
-    def _run_process(self, work: list[_Batch],
-                     outcomes: list[QueryOutcome], jobs: int,
-                     run_deadline: Optional[Deadline]) -> list[_Batch]:
-        spec_bytes = pickle.dumps(self.spec)
+    def _run_process(self, candidates: list[BugCandidate],
+                     work: list[_Batch], outcomes: list[QueryOutcome],
+                     jobs: int, run_deadline: Optional[Deadline]
+                     ) -> list[_Batch]:
         context = multiprocessing.get_context("fork") if _HAS_FORK else None
         policy = self.config.faults
         todo = list(work)
@@ -652,8 +636,9 @@ class QueryScheduler:
             executor = ProcessPoolExecutor(
                 max_workers=jobs, mp_context=context,
                 initializer=_process_init,
-                initargs=(spec_bytes, self.config.slice_cache_capacity,
-                          policy, self.config.fault_plan))
+                initargs=(self.spec, candidates,
+                          self.config.slice_cache_capacity, policy,
+                          self.config.fault_plan))
 
             def submit(batch: _Batch):
                 return executor.submit(_process_batch, batch.indices,

@@ -167,7 +167,7 @@ class FusionEngine:
             return self.solver.solve([candidate.path], the_slice,
                                      deadline=deadline, group=group)
 
-        execution = self._execution_plan(checker, exec_config, telemetry)
+        execution = self._execution_plan(exec_config, telemetry, index)
         triage = make_triage(self.pdg, checker, triage, view=view)
         binding = store.bind(self.pdg,
                              self._store_fingerprint(triage, checker),
@@ -249,9 +249,8 @@ class FusionEngine:
             return None
         return SliceCache(exec_config.slice_cache_capacity, index=index)
 
-    def _execution_plan(self, checker: Checker,
-                        exec_config: Optional[ExecConfig],
-                        telemetry: Optional[Telemetry]
+    def _execution_plan(self, exec_config: Optional[ExecConfig],
+                        telemetry: Optional[Telemetry], index
                         ) -> Optional[ExecutionPlan]:
         if exec_config is None and telemetry is None:
             return None
@@ -270,13 +269,12 @@ class FusionEngine:
                 or config.breaker is not None:
             # Workers cannot observe the whole run's clock; the
             # completion loop enforces the budget at batch granularity.
-            spec = WorkerSpec(self.pdg, checker, self.config.sparse,
-                              fusion_query_factory,
+            spec = WorkerSpec(self.pdg, fusion_query_factory,
                               replace(self.config, budget=None),
                               query_timeout=self.config.solver.solver
                               .time_limit,
                               grouped=self.config.solver.incremental,
-                              sparsify=self.config.sparsify)
+                              slice_index=index)
         return ExecutionPlan(config, spec, telemetry)
 
     def check_simultaneous(self, paths) -> "SmtResult":

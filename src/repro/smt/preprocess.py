@@ -228,8 +228,23 @@ class Preprocessor:
 
     def _substitute_all(self, work: list[Term],
                         mapping: dict[Term, Term]) -> list[Term]:
+        """Substitute ``mapping`` into every constraint and simplify each.
+
+        With only variable keys, a constraint whose support misses them all
+        is left as it is (substituting would rebuild it unchanged).  Any
+        other key may occur under any variable, so every constraint is
+        walked.  Either way each constraint is simplified once, in order.
+        """
         mgr = self.manager
-        return [simplify(mgr, mgr.substitute(c, mapping)) for c in work]
+        if all(key.is_var for key in mapping):
+            keys = mapping.keys()
+            touched = [not keys.isdisjoint(mgr.support(c)) for c in work]
+        else:
+            touched = [True] * len(work)
+        substituted = mgr.substitute_many(
+            [c for c, hit in zip(work, touched) if hit], mapping)
+        return [simplify(mgr, next(substituted) if hit else c)
+                for c, hit in zip(work, touched)]
 
     # ------------------------------------------------------------------ #
     # Constant propagation (forward and backward)

@@ -10,6 +10,24 @@ The rewriter is a single bottom-up pass over the term DAG with
 memoisation, so its cost is linear in the DAG size — which is exactly why
 applying it to an exponentially cloned condition cannot rescue the
 conventional design (Figure 10 of the paper).
+
+The memo is ``TermManager.simplify_memo``, keyed by term id, and it
+outlives a single call: a node simplified once is never walked again, so
+preprocessing, which re-simplifies each constraint after every
+substitution step, pays only for nodes it has not seen.  The memo is
+exact.  Interning makes a node's simplified form a function of the node
+alone, and the walk visits the nodes it does not skip in the same order
+as a memo-less walk, so it interns the same new terms under the same ids.
+It lives and dies with its manager, and a manager with its engine: the
+session's engine is rebuilt on every ``AnalysisSession.update_source``,
+and each scheduler batch runner builds its own.
+
+Cloning is not memoized: ``TermManager.rename`` walks the callee's
+condition on every expansion, and a clone at a new call site carries
+that site's suffix on every variable, so its nodes are terms the memo
+has never seen.  The memo removes re-simplification, not the
+conventional design's cloning cost, so the Figure 10 argument (that
+simplifying cloned conditions cannot rescue that design) stands.
 """
 
 from __future__ import annotations
@@ -20,11 +38,14 @@ from repro.smt.terms import COMMUTATIVE_OPS, Op, Term, TermManager
 
 def simplify(manager: TermManager, term: Term) -> Term:
     """Return an equivalent, locally simplified term."""
-    cache: dict[int, Term] = {}
-    for node in term.iter_dag():
-        new_args = tuple(cache[a.tid] for a in node.args)
-        cache[node.tid] = _simplify_node(manager, node, new_args)
-    return cache[term.tid]
+    memo = manager.simplify_memo
+    done = memo.get(term.tid)
+    if done is not None:
+        return done
+    for node in term.iter_dag(skip=memo):
+        memo[node.tid] = _simplify_node(
+            manager, node, tuple(memo[a.tid] for a in node.args))
+    return memo[term.tid]
 
 
 def _simplify_node(mgr: TermManager, node: Term,

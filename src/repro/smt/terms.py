@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from repro.smt.sorts import BOOL, Sort, bitvec
 
@@ -130,13 +130,20 @@ class Term:
     def __repr__(self) -> str:
         return to_sexpr(self, max_depth=4)
 
-    def iter_dag(self) -> Iterator["Term"]:
-        """Yield every distinct sub-term once, children before parents."""
+    def iter_dag(self, skip: Container[int] = ()) -> Iterator["Term"]:
+        """Yield every distinct sub-term once, children before parents.
+
+        Sub-terms whose id is in ``skip`` are neither yielded nor entered.
+        A memo that the caller fills as nodes are yielded makes a walk
+        resume where earlier walks stopped: the nodes it does yield come
+        in the order a walk without ``skip`` would yield them, provided
+        the memo holds every sub-term of each term it holds.
+        """
         seen: set[int] = set()
         stack: list[tuple[Term, bool]] = [(self, False)]
         while stack:
             term, expanded = stack.pop()
-            if term.tid in seen:
+            if term.tid in seen or term.tid in skip:
                 continue
             if expanded:
                 seen.add(term.tid)
@@ -174,6 +181,12 @@ class TermManager:
         self._true = self._intern(Op.TRUE, (), BOOL, None)
         self._false = self._intern(Op.FALSE, (), BOOL, None)
         self._fresh_counter = itertools.count()
+        # Memos keyed by term id.  Both hold only terms of this manager, so
+        # they live and die with the intern table and never outgrow it.
+        #: ``rewriter.simplify``'s memo: term id -> simplified term.
+        self.simplify_memo: dict[int, Term] = {}
+        #: :meth:`support`'s memo: term id -> free variables.
+        self.support_memo: dict[int, frozenset[Term]] = {}
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -386,19 +399,37 @@ class TermManager:
     def substitute(self, term: Term,
                    mapping: dict[Term, Term]) -> Term:
         """Simultaneously substitute variables (or arbitrary sub-terms)."""
-        cache: dict[int, Term] = {}
+        return next(self.substitute_many((term,), mapping))
 
-        for node in term.iter_dag():
-            replacement = mapping.get(node)
-            if replacement is not None:
-                cache[node.tid] = replacement
-                continue
-            if not node.args:
-                cache[node.tid] = node
-                continue
-            new_args = tuple(cache[a.tid] for a in node.args)
-            cache[node.tid] = self.rebuild(node, new_args)
-        return cache[term.tid]
+    def substitute_many(self, terms: Iterable[Term],
+                        mapping: dict[Term, Term]) -> Iterator[Term]:
+        """Yield ``substitute(t, mapping)`` for each of ``terms`` in turn.
+
+        One cache is shared across the terms, so a sub-term they share is
+        rebuilt once.  The walk is lazy: a term's result is yielded before
+        the next term is visited, so a caller that simplifies each result
+        before asking for the next interns new terms in exactly the order
+        term-by-term substitution would.
+        """
+        cache: dict[int, Term] = {}
+        for term in terms:
+            for node in term.iter_dag(skip=cache):
+                replacement = mapping.get(node)
+                if replacement is not None:
+                    cache[node.tid] = replacement
+                elif not node.args:
+                    cache[node.tid] = node
+                else:
+                    cache[node.tid] = self.rebuild(
+                        node, tuple(cache[a.tid] for a in node.args))
+            yield cache[term.tid]
+
+    def support(self, term: Term) -> frozenset[Term]:
+        """The free variables of ``term``, memoized per term."""
+        found = self.support_memo.get(term.tid)
+        if found is None:
+            found = self.support_memo[term.tid] = frozenset(term.free_vars())
+        return found
 
     def rename(self, term: Term, suffix: str) -> Term:
         """Clone ``term``, renaming every free variable with ``suffix``.

@@ -178,8 +178,8 @@ def _run_triage(candidates: list[BugCandidate],
                 result: AnalysisResult,
                 indices: Optional[list[int]] = None) -> list[int]:
     """Decide what the abstract interpreter can; return the indices that
-    still need an SMT query (always full-list indices — the process
-    backend's workers re-collect the complete candidate list).
+    still need an SMT query (always full-list indices — every
+    scheduler worker holds the complete candidate list).
 
     ``indices`` restricts triage to those positions (store-replayed
     verdicts never re-enter triage)."""

@@ -12,7 +12,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from repro.smt.terms import Term, TermManager
+from repro.smt.terms import Op, Term, TermManager
 
 WIDTH = 4
 NUM_BV_VARS = 3
@@ -96,3 +96,26 @@ def all_assignments(bv_vars: list[Term], bool_vars: list[Term]):
         assignment = dict(zip(bv_vars, values[:len(bv_vars)]))
         assignment.update(zip(bool_vars, values[len(bv_vars):]))
         yield assignment
+
+
+def replay(terms: list[Term]) -> tuple[TermManager, list[Term]]:
+    """Copy ``terms`` into a fresh manager, interning their nodes in the
+    order the source manager did.  Two replays of one list are therefore
+    indistinguishable, and an operation run on each must intern the same
+    new terms under the same ids."""
+    manager = TermManager()
+    nodes = {node.tid: node for term in terms for node in term.iter_dag()}
+    copies: dict[int, Term] = {}
+    for tid in sorted(nodes):
+        node = nodes[tid]
+        if node.op is Op.VAR:
+            copy = manager.var(node.name, node.sort)
+        elif node.op is Op.CONST:
+            copy = manager.bv_const(node.value, node.sort.width)
+        elif node.is_const:
+            copy = manager.bool_const(bool(node.value))
+        else:
+            copy = manager.rebuild(node, tuple(copies[a.tid]
+                                               for a in node.args))
+        copies[tid] = copy
+    return manager, [copies[term.tid] for term in terms]

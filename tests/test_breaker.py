@@ -242,8 +242,7 @@ class TestSchedulerIntegration:
         engine = make_engine()
         breaker = CircuitBreaker(threshold=1)
         config = ExecConfig(jobs=2, backend="process", breaker=breaker)
-        plan = engine._execution_plan(NullDereferenceChecker(), config,
-                                      None)
+        plan = engine._execution_plan(config, None, None)
         assert plan is not None and plan.spec is not None
         pickle.dumps(plan.spec)  # must not drag the breaker along
         assert not hasattr(plan.spec, "breaker")

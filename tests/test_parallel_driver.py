@@ -141,10 +141,13 @@ def test_serial_backend_is_the_degenerate_case():
 def test_process_pool_speedup_on_multicore():
     """On a multi-core box, 4 process workers must beat sequential wall
     time on a query-heavy subject (guarded: CI runners with one core
-    cannot demonstrate a speedup, only overhead)."""
+    cannot demonstrate a speedup, only overhead).  Query-heavy means
+    about 2 s of sequential solving spread over a few queries that share
+    little work: at 24 functions and 4 layers this spec solves in about
+    0.3 s, too little for a pool to amortize its start-up over."""
     import time
 
-    spec = SubjectSpec("speedup", seed=5, num_functions=24, layers=4,
+    spec = SubjectSpec("speedup", seed=5, num_functions=48, layers=6,
                        avg_stmts=8, call_fanout=2, null_bugs=(3, 2, 2))
     pdg = prepare_pdg(generate_subject(spec).program)
     checker = NullDereferenceChecker()

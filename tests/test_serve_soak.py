@@ -197,6 +197,7 @@ def test_query_latency_on_hot_tenant():
 
     from repro.bench import SubjectSpec, generate_subject
     from repro.checkers import NullDereferenceChecker
+    from repro.lang.lexer import tokenize
     from repro.query import resolve_sink_sites
 
     spec = SubjectSpec("soak-query", seed=11, num_functions=80,
@@ -206,8 +207,11 @@ def test_query_latency_on_hot_tenant():
     assert source.count("\n") >= 2000, "tenant shrank below 2k lines"
     probe = AnalysisSession(source)
     checker = NullDereferenceChecker()
+    # Lex once: every probed line reads the same token stream.
+    tokens = tokenize(source)
     lines = [number for number in range(1, source.count("\n") + 2)
-             if resolve_sink_sites(probe.pdg, source, checker, number)]
+             if resolve_sink_sites(probe.pdg, source, checker, number,
+                                   tokens=tokens)]
     assert lines, "soak tenant lost its sinks"
 
     async def main():

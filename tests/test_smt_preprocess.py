@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (Preprocessor, TermManager, Verdict, evaluate,
-                       constraint_set_size, flatten_conjunction)
-from strategies import bool_terms, make_manager
+from repro.smt import (Preprocessor, SmtStatus, TermManager, Verdict,
+                       constraint_set_size, evaluate, flatten_conjunction,
+                       simplify, smt_solve, to_sexpr)
+from strategies import bool_terms, make_manager, replay
 
 
 @pytest.fixture
@@ -276,3 +277,125 @@ class TestSoundnessProperty:
                 for var in c.free_vars():
                     model.setdefault(var, 0)
                 assert evaluate(c, model) == 1
+
+
+def _holds(constraint, model):
+    for var in constraint.free_vars():
+        model.setdefault(var, 0)
+    return evaluate(constraint, model) == 1
+
+
+class TestSubstituteAll:
+    """With only variable keys, constraints whose support misses every key
+    are skipped; any other key walks every constraint."""
+
+    def test_untouched_constraint_is_kept(self, mgr):
+        x, y, z = (mgr.bv_var(n, 8) for n in "xyz")
+        touched = mgr.slt(x, y)
+        untouched = mgr.ult(z, mgr.bv_const(5, 8))
+        out = Preprocessor(mgr)._substitute_all([touched, untouched],
+                                                {x: y})
+        assert out == [mgr.false, untouched]
+        assert {touched.tid, untouched.tid} <= set(mgr.support_memo)
+
+    def test_compound_key_replaced_where_support_looks_untouched(self, mgr):
+        """Unconstrained elimination maps a node, not a variable, to a
+        fresh variable: the node must be replaced even in a constraint
+        whose support shares nothing with the variable keys."""
+        x, y, z, w = (mgr.bv_var(n, 8) for n in "xyzw")
+        node = mgr.bvadd(x, y)
+        fresh = mgr.fresh_var(node.sort)
+        first = mgr.eq(node, mgr.bv_const(3, 8))
+        second = mgr.ult(z, node)
+        pre = Preprocessor(mgr)
+        replaced = [simplify(mgr, mgr.eq(fresh, mgr.bv_const(3, 8))),
+                    simplify(mgr, mgr.ult(z, fresh))]
+        assert pre._substitute_all([first], {node: fresh}) == replaced[:1]
+        out = pre._substitute_all([first, second],
+                                  {w: mgr.bv_const(1, 8), node: fresh})
+        assert out == replaced
+        assert all(fresh in c.free_vars() for c in out)
+        assert node not in {n for c in out for n in c.iter_dag()}
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_term_by_term_reference(self, data):
+        """Against substituting and simplifying one constraint at a time
+        with empty caches: the same constraints, and the same new terms
+        interned under the same ids."""
+        mgr, bv_vars, bool_vars = make_manager()
+        bools = bool_terms(mgr, bv_vars, bool_vars)
+        work = data.draw(st.lists(bools, min_size=1, max_size=4))
+        keys = data.draw(st.lists(st.sampled_from(bv_vars + bool_vars),
+                                  min_size=1, unique=True))
+        compound = [n for c in work for n in c.iter_dag() if n.args]
+        if compound and data.draw(st.booleans()):
+            keys.append(data.draw(st.sampled_from(compound)))
+        values = [data.draw(st.sampled_from(
+            [v for v in bv_vars + bool_vars if v.sort == key.sort]
+            + [c for c in compound if c.sort == key.sort])) for key in keys]
+
+        outcomes = []
+        for reference in (False, True):
+            manager, copies = replay(work + keys + values)
+            n, k = len(work), len(keys)
+            mapping = dict(zip(copies[n:n + k], copies[n + k:]))
+            if reference:
+                out = []
+                for c in copies[:n]:
+                    manager.simplify_memo.clear()
+                    substituted = manager.substitute(c, mapping)
+                    out.append(simplify(manager, substituted))
+            else:
+                out = Preprocessor(manager)._substitute_all(copies[:n],
+                                                            mapping)
+            outcomes.append(([(c.tid, to_sexpr(c)) for c in out],
+                             len(manager)))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestWarmManager:
+    """The simplify and support memos persist across runs on one manager;
+    a run on a warm manager must match a run whose memos were dropped."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_warm_run_matches_cold_run(self, data):
+        mgr, bv_vars, bool_vars = make_manager()
+        strategy = bool_terms(mgr, bv_vars, bool_vars)
+        target = data.draw(st.lists(strategy, min_size=1, max_size=3))
+        pieces = [n for c in target for n in c.iter_dag() if n.sort.is_bool]
+        warmup = data.draw(st.lists(strategy, max_size=2))
+        warmup += data.draw(st.lists(st.sampled_from(pieces), max_size=2))
+        split = len(warmup)
+
+        outcomes = []
+        for cold in (False, True):
+            manager, copies = replay(warmup + target)
+            Preprocessor(manager).run(copies[:split])
+            if cold:
+                manager.simplify_memo.clear()
+                manager.support_memo.clear()
+            result = Preprocessor(manager).run(copies[split:])
+            outcomes.append((
+                result.verdict,
+                [(c.tid, to_sexpr(c)) for c in result.constraints],
+                result.stats,
+                [step.description for step in result.completions],
+                len(manager)))
+            assert len(manager.simplify_memo) <= len(manager)
+            assert len(manager.support_memo) <= len(manager)
+            if not cold:
+                warm, originals = manager, copies[split:]
+        assert outcomes[0] == outcomes[1]
+
+        # The warm manager's completed model satisfies the originals.
+        witness = data.draw(st.fixed_dictionaries(
+            {v: st.integers(0, 15) for v in bv_vars}
+            | {v: st.integers(0, 1) for v in bool_vars}))
+        solved = smt_solve(warm, originals, want_model=True)
+        if all(_holds(c, dict(witness)) for c in target):
+            assert solved.status is SmtStatus.SAT
+        if solved.status is SmtStatus.SAT:
+            assert all(_holds(c, solved.model) for c in originals)

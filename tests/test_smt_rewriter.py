@@ -2,9 +2,10 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.smt import Op, TermManager, evaluate, simplify
-from strategies import all_assignments, bool_terms, make_manager
+from repro.smt import Op, TermManager, evaluate, simplify, to_sexpr
+from strategies import all_assignments, bool_terms, make_manager, replay
 
 
 @pytest.fixture
@@ -146,7 +147,7 @@ class TestIdempotence:
 
 class TestSoundnessProperty:
     @settings(max_examples=150, deadline=None)
-    @given(data=__import__("hypothesis").strategies.data())
+    @given(data=st.data())
     def test_simplify_preserves_semantics(self, data):
         mgr, bv_vars, bool_vars = make_manager()
         term = data.draw(bool_terms(mgr, bv_vars, bool_vars))
@@ -156,3 +157,48 @@ class TestSoundnessProperty:
         for i, env in enumerate(all_assignments(bv_vars, bool_vars)):
             if i % 977 == 0 or i < 4:
                 assert evaluate(term, env) == evaluate(simplified, env)
+
+
+class TestMemo:
+    """``simplify`` memoizes on the manager; a warm memo must answer
+    exactly what a cold walk would, term for term and id for id."""
+
+    def test_memo_hit_interns_nothing(self, mgr):
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        expr = mgr.eq(mgr.bvadd(y, x), mgr.bvmul(x, mgr.bv_const(1, 8)))
+        first = simplify(mgr, expr)
+        memo, terms = len(mgr.simplify_memo), len(mgr)
+        assert simplify(mgr, expr) is first
+        assert (len(mgr.simplify_memo), len(mgr)) == (memo, terms)
+
+    def test_memo_covers_every_sub_term(self, mgr):
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        inner = mgr.bvadd(x, mgr.bv_const(0, 8))
+        expr = mgr.ult(inner, y)
+        simplify(mgr, expr)
+        assert {node.tid for node in expr.iter_dag()} \
+            <= set(mgr.simplify_memo)
+        assert mgr.simplify_memo[inner.tid] is x
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_warm_memo_matches_cold_walk(self, data):
+        mgr, bv_vars, bool_vars = make_manager()
+        strategy = bool_terms(mgr, bv_vars, bool_vars)
+        target = data.draw(strategy)
+        # Warm the memo with other terms and with pieces of the target.
+        warmup = data.draw(st.lists(strategy, max_size=3))
+        warmup += data.draw(st.lists(
+            st.sampled_from(list(target.iter_dag())), max_size=3))
+
+        outcomes = []
+        for cold in (False, True):
+            manager, copies = replay(warmup + [target])
+            for term in copies[:-1]:
+                simplify(manager, term)
+            if cold:
+                manager.simplify_memo.clear()
+            result = simplify(manager, copies[-1])
+            outcomes.append((result.tid, to_sexpr(result), len(manager)))
+            assert len(manager.simplify_memo) <= len(manager)
+        assert outcomes[0] == outcomes[1]

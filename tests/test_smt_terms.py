@@ -1,8 +1,11 @@
 """Unit tests for the hash-consed term DAG."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.smt import BOOL, TermManager, bitvec, to_sexpr
+from strategies import bool_terms, bv_terms, make_manager, replay
 
 
 @pytest.fixture
@@ -136,6 +139,76 @@ class TestSubstitution:
         x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
         expr = mgr.eq(mgr.bvadd(x, y), mgr.bv_const(0, 8))
         assert mgr.rename(expr, "#1").dag_size() == expr.dag_size()
+
+
+class TestSubstituteMany:
+    """The list walk shares one cache across its terms; its results and
+    the terms it interns must match substituting one term at a time."""
+
+    def test_shared_sub_term_rebuilt_once(self, mgr):
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        shared = mgr.bvadd(x, y)
+        terms = [mgr.ult(shared, y), mgr.eq(shared, x)]
+        out = list(mgr.substitute_many(terms, {x: y}))
+        assert out == [mgr.substitute(t, {x: y}) for t in terms]
+        assert out[0].args[0] is out[1].args[0]
+
+    def test_walk_is_lazy(self, mgr):
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        walk = mgr.substitute_many([mgr.ult(x, y), mgr.eq(y, x)], {x: y})
+        first = next(walk)
+        before = len(mgr)
+        assert first is mgr.ult(y, y)
+        assert len(mgr) == before       # nothing of the second term yet
+        assert next(walk) is mgr.eq(y, y)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_list_walk_equals_per_term_substitute(self, data):
+        mgr, bv_vars, bool_vars = make_manager()
+        bools = bool_terms(mgr, bv_vars, bool_vars)
+        bvs = bv_terms(mgr, bv_vars, st.sampled_from(bool_vars))
+        terms = data.draw(st.lists(bools, min_size=1, max_size=4))
+        mapping = {}
+        for var in data.draw(st.lists(st.sampled_from(bv_vars + bool_vars),
+                                      unique=True)):
+            mapping[var] = data.draw(bools if var.sort.is_bool else bvs)
+        # Sometimes a compound key too, as unconstrained elimination uses.
+        compound = [n for t in terms for n in t.iter_dag() if n.args]
+        if compound and data.draw(st.booleans()):
+            node = data.draw(st.sampled_from(compound))
+            mapping[node] = mgr.fresh_var(node.sort)
+        pairs = list(mapping.items())
+        flat = terms + [t for pair in pairs for t in pair]
+
+        outcomes = []
+        for walk in ("list", "per-term"):
+            manager, copies = replay(flat)
+            rest = copies[len(terms):]
+            copied = dict(zip(rest[::2], rest[1::2]))
+            targets = copies[:len(terms)]
+            if walk == "list":
+                out = list(manager.substitute_many(targets, copied))
+            else:
+                out = [manager.substitute(t, copied) for t in targets]
+            outcomes.append(([(t.tid, to_sexpr(t)) for t in out],
+                             len(manager)))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestSupport:
+    def test_support_is_free_vars(self, mgr):
+        x, p = mgr.bv_var("x", 8), mgr.bool_var("p")
+        expr = mgr.and_(p, mgr.ult(x, mgr.bv_const(3, 8)))
+        assert mgr.support(expr) == frozenset({x, p})
+        assert mgr.support(mgr.true) == frozenset()
+
+    def test_support_memoized_per_term(self, mgr):
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        expr = mgr.eq(x, y)
+        assert mgr.support(expr) is mgr.support(expr)
+        assert set(mgr.support_memo) == {expr.tid}
+        assert len(mgr.support_memo) <= len(mgr)
 
 
 class TestFreshVars:
