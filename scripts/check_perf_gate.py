@@ -1,21 +1,14 @@
 #!/usr/bin/env python
 """CI perf gate: the committed bench baseline must keep holding.
 
-``results/BENCH_incremental.json`` is a committed ``repro bench``
-record for the ``mcf`` subject.  This gate re-runs the same bench cell
-fresh and checks, in order:
+``results/BENCH_mcf.json`` is a committed ``repro bench`` record for
+the ``mcf`` subject.  This gate re-runs the same bench cell fresh and
+checks, in order:
 
 * **determinism** — every machine-independent field of the row (bugs,
   reports, tp/fp, query count and statuses, per-query clause counts)
   is *equal* to the baseline: a drifted verdict or a changed query
   schedule is a correctness regression, not noise;
-* **incremental counters** — the fresh run still opens solver sessions
-  and solves under assumptions (the warm machinery cannot silently
-  turn off);
-* **timing** — the incremental run's total solve time stays within a
-  slack factor of a fresh ``--no-incremental`` run of the same cell
-  (both measured on this machine, so the comparison is
-  machine-independent even though the absolute numbers are not);
 * **graph reduction** — ``results/BENCH_taint.json`` (a committed
   ``ffmpeg`` x ``cwe-23`` cell; ffmpeg is the smallest registry subject
   carrying taint injections) must keep matching a fresh run *and* its
@@ -55,7 +48,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from repro.cli import main  # noqa: E402  (path bootstrap above)
 
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "results", "BENCH_incremental.json")
+                        os.pardir, "results", "BENCH_mcf.json")
 TAINT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               os.pardir, "results", "BENCH_taint.json")
 DEMAND_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -73,8 +66,9 @@ EXACT_FIELDS = ("subject", "engine", "checker", "bugs", "reports", "tp",
                 "failure", "pdg_nodes", "pdg_edges", "view_nodes",
                 "view_edges")
 
-#: Incremental solve time may exceed the one-shot baseline by at most
-#: this factor (above the timer-jitter noise floor).
+#: The loop-summary pipeline's wall time may exceed the unroll
+#: pipeline's by at most this factor (above the timer-jitter noise
+#: floor).
 SLACK = 1.5
 NOISE_FLOOR_SECONDS = 0.05
 
@@ -109,7 +103,7 @@ def load_baseline(path: str, subject: str, checker: str) -> dict:
     torn JSON, wrong shape) fails with the exact regeneration command
     instead of a traceback."""
     regen = (f"PYTHONPATH=src python -m repro bench --subject {subject} "
-             f"--engine fusion --checker {checker} --incremental "
+             f"--engine fusion --checker {checker} "
              f"--bench-json {os.path.relpath(path)}")
     try:
         with open(path) as handle:
@@ -120,7 +114,7 @@ def load_baseline(path: str, subject: str, checker: str) -> dict:
         fail(f"committed baseline {os.path.relpath(path)} is missing or "
              f"unreadable ({type(error).__name__}: {error}) — regenerate "
              f"it with: {regen}")
-    if schema != "repro-bench-incremental/1":
+    if schema != "repro-bench/2":
         fail(f"baseline {os.path.relpath(path)} has unexpected schema "
              f"{schema!r} — regenerate it with: {regen}")
     return baseline
@@ -239,16 +233,15 @@ def run_demand_bench(record_path: str) -> dict:
         return json.load(handle)
 
 
-def run_bench(record_path: str, incremental: bool,
-              subject: str = "mcf", checker: str = "null-deref") -> dict:
-    flag = "--incremental" if incremental else "--no-incremental"
+def run_bench(record_path: str, subject: str = "mcf",
+              checker: str = "null-deref") -> dict:
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(["bench", "--subject", subject, "--engine", "fusion",
-                     "--checker", checker,
-                     "--bench-json", record_path, flag])
+                     "--checker", checker, "--bench-json", record_path])
     if code != 0:
-        fail(f"bench {flag} exited {code}:\n{buffer.getvalue()}")
+        fail(f"bench {subject}/{checker} exited {code}:\n"
+             f"{buffer.getvalue()}")
     with open(record_path) as handle:
         return json.load(handle)
 
@@ -294,13 +287,9 @@ def run() -> int:
     loops_baseline = load_loops_baseline(LOOPS_BASELINE)
 
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = run_bench(os.path.join(tmp, "fresh.json"),
-                          incremental=True)
-        oneshot = run_bench(os.path.join(tmp, "oneshot.json"),
-                            incremental=False)
+        fresh = run_bench(os.path.join(tmp, "fresh.json"))
         taint = run_bench(os.path.join(tmp, "taint.json"),
-                          incremental=True, subject="ffmpeg",
-                          checker="cwe-23")
+                          subject="ffmpeg", checker="cwe-23")
         demand = run_demand_bench(os.path.join(tmp, "demand.json"))
         loops = run_loops_bench(os.path.join(tmp, "loops.json"))
 
@@ -317,28 +306,10 @@ def run() -> int:
              f"{pdg_edges} full edges vs {view_edges} view edges "
              f"(< {TAINT_EDGE_REDUCTION_FLOOR}x)")
 
-    counters = fresh["incremental"]
-    for key in ("sessions", "assumption_solves", "encoder_hits"):
-        if counters[key] != baseline["incremental"][key]:
-            fail(f"incremental counter {key!r} drifted: expected "
-                 f"{baseline['incremental'][key]}, got {counters[key]}")
-    if counters["sessions"] <= 0 or counters["assumption_solves"] <= 0:
-        fail(f"incremental machinery is off: {counters}")
-
-    inc_solve = fresh["row"]["solve_seconds_total"]
-    base_solve = oneshot["row"]["solve_seconds_total"]
-    if base_solve > NOISE_FLOOR_SECONDS and inc_solve > base_solve * SLACK:
-        fail(f"incremental solving regressed past {SLACK}x of one-shot: "
-             f"{inc_solve:.3f}s vs {base_solve:.3f}s")
-
     reduction = (pdg_edges / view_edges) if view_edges else float("inf")
     print(f"check_perf_gate: OK — row matches baseline "
           f"({fresh['row']['queries']} queries, "
-          f"{fresh['row']['bugs']} bugs), "
-          f"{counters['sessions']} session(s), "
-          f"{counters['assumption_solves']} assumption solve(s), "
-          f"solve {base_solve:.3f}s one-shot vs {inc_solve:.3f}s "
-          f"incremental, taint view {view_edges}/{pdg_edges} edges "
+          f"{fresh['row']['bugs']} bugs), taint view {view_edges}/{pdg_edges} edges "
           f"({reduction:.1f}x reduction), demand regions <= "
           f"{demand['max_region_nodes']} of "
           f"{demand['pairs'][0]['pdg_nodes']} vertices over "

@@ -80,8 +80,8 @@ class RunOutcome:
             "view_edges": self.view_edges,
             # Per-query detail, in candidate order: wall seconds and SAT
             # clause-database size at search time (0 = decided before the
-            # SAT stage).  Machine-readable perf trajectory for
-            # BENCH_incremental.json.
+            # SAT stage).  Machine-readable perf trajectory for the
+            # committed results/BENCH_*.json records.
             "query_seconds": [round(r.seconds, 6)
                               for r in self.query_records],
             "query_clauses": [r.sat_clauses for r in self.query_records],
@@ -100,13 +100,12 @@ def pdg_for(subject_name: str) -> ProgramDependenceGraph:
 def make_engine(engine: str, pdg: ProgramDependenceGraph,
                 budget: Optional[Budget],
                 query_timeout: Optional[float] = None,
-                incremental: bool = False, sparsify: bool = True):
+                sparsify: bool = True):
     """Thin wrapper over :func:`repro.engine.build_engine` (the shared
     factory): bench engines run without witness extraction and under the
     run budget."""
     return build_engine(engine, pdg, want_model=False,
-                        query_timeout=query_timeout,
-                        incremental=incremental, budget=budget,
+                        query_timeout=query_timeout, budget=budget,
                         sparsify=sparsify)
 
 
@@ -120,8 +119,7 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                max_retries: Optional[int] = None,
                on_error: str = "unknown",
                fault_plan: Optional[FaultPlan] = None,
-               store=None, incremental: bool = False,
-               sparsify: bool = True) -> RunOutcome:
+               store=None, sparsify: bool = True) -> RunOutcome:
     """Run one (engine, checker) pair on one subject.
 
     ``jobs=1`` (the default) is the seed sequential path — benchmark
@@ -132,7 +130,7 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
     fault-tolerance layer, and ``fault_plan`` injects deterministic
     faults (CI resilience matrix).  ``store`` (an
     :class:`~repro.exec.store.ArtifactStore`) opts the path-sensitive
-    engines into warm incremental re-analysis; a warm run replays
+    engines into warm re-analysis; a warm run replays
     unchanged verdicts instead of re-solving them (the ``replayed``
     row column).
     """
@@ -142,7 +140,7 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                     max_memory_units=memory_budget)
     engine_obj = make_engine(engine, pdg, budget,
                              query_timeout=query_timeout,
-                             incremental=incremental, sparsify=sparsify)
+                             sparsify=sparsify)
     checker: Checker = CHECKERS[checker_name]()
     kwargs = {}
     if triage:

@@ -151,13 +151,14 @@ class BugCandidate:
         return (self.checker, self.source.index, self.sink.index)
 
     def group_key(self) -> tuple:
-        """Shared-prefix group for incremental solving.
+        """The circuit breaker's key (:mod:`repro.exec.breaker`).
 
         Candidates with the same checker and sink function share almost
         all of their sliced condition (the per-function local conditions
-        of Algorithm 6), so their queries are decided inside one
-        :class:`~repro.smt.incremental.SolverSession`.  The key is
-        picklable and stable across workers.
+        of Algorithm 6), so a query that keeps failing or timing out
+        poisons its whole group: the breaker counts failures and
+        short-circuits queries per group.  The key is picklable and
+        stable across workers.
         """
         return (self.checker, self.sink.function)
 

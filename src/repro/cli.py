@@ -61,11 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--checker", default="null-deref",
                        choices=sorted(CHECKER_FACTORIES))
     bench.add_argument("--time-budget", type=float, default=120.0)
-    bench.add_argument("--bench-json", metavar="FILE",
-                       default="BENCH_incremental.json",
+    bench.add_argument("--bench-json", metavar="FILE", default=None,
                        help="also write the machine-readable bench record "
-                            "(row + incremental-solver counters) here "
-                            "(default BENCH_incremental.json; "
+                            "here (default BENCH_<subject>.json; "
                             "BENCH_demand.json under --demand)")
     bench.add_argument("--no-bench-json", action="store_true",
                        help="suppress the --bench-json output file")
@@ -104,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--triage", action="store_true",
                        help="run the absint triage pre-pass on the pair "
                             "region")
-    query.add_argument("--incremental",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="group-keyed persistent solver sessions "
-                            "(default on)")
     query.add_argument("--sparsify",
                        action=argparse.BooleanOptionalAction, default=True,
                        help="walk the checker's pruned PDG view "
@@ -170,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-request deadline when the request "
                             "carries none (overruns report UNKNOWN)")
-    serve.add_argument("--no-incremental", action="store_true",
-                       help="disable persistent solver sessions")
     serve.add_argument("--triage", action="store_true",
                        help="run the absint triage pre-pass per request")
     serve.add_argument("--sparsify",
@@ -328,15 +320,6 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-store", action="store_true",
                         help="ignore --cache-dir for this run (neither "
                              "read nor write the store)")
-    parser.add_argument("--incremental",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="route grouped queries through persistent "
-                             "assumption-based solver sessions with "
-                             "cross-query clause reuse (--no-incremental "
-                             "restores one-shot solving; default on; the "
-                             "infer baseline has no SMT stage and ignores "
-                             "it — see docs/solver.md)")
     parser.add_argument("--sparsify",
                         action=argparse.BooleanOptionalAction,
                         default=True,
@@ -346,14 +329,6 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "are byte-identical either way — see "
                              "docs/sparsification.md; default on; the "
                              "infer baseline ignores it)")
-
-
-def _make_engine(name: str, pdg, want_model: bool,
-                 query_timeout: Optional[float] = None,
-                 incremental: bool = False, sparsify: bool = True):
-    return build_engine(name, pdg, want_model=want_model,
-                        query_timeout=query_timeout,
-                        incremental=incremental, sparsify=sparsify)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -374,8 +349,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     exit_code = 0
     verbose_sections = []
     for checker_name in checker_names:
-        engine = _make_engine(args.engine, pdg,
-                              args.witness or args.verbose)
+        engine = build_engine(args.engine, pdg,
+                              want_model=args.witness or args.verbose)
         result = engine.analyze(CHECKER_FACTORIES[checker_name]())
         if args.verbose:
             from repro.checkers.format import format_results
@@ -494,6 +469,25 @@ def _write_telemetry(args: argparse.Namespace, telemetry) -> bool:
     return True
 
 
+def _write_bench_record(args: argparse.Namespace, default_path: str,
+                        record: dict) -> bool:
+    """Write a bench record to ``--bench-json`` (``default_path`` when
+    unset) unless ``--no-bench-json``; False after reporting an I/O
+    error."""
+    if args.no_bench_json:
+        return True
+    path = args.bench_json or default_path
+    try:
+        with open(path, "w") as handle:
+            json.dump(record, handle, indent=2)
+            handle.write("\n")
+    except OSError as error:
+        print(f"repro: cannot write bench record to {path!r}: {error}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import run_engine
 
@@ -510,45 +504,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
               "(infer has no SMT stage)", file=sys.stderr)
         return 2
     exec_config, telemetry = _exec_options(args)
-    bench_telemetry = telemetry
-    if bench_telemetry is None and not args.no_bench_json:
-        # The bench record needs the incremental-solver counters even
-        # when the caller did not ask for a telemetry file; the internal
-        # instance is never written out.  Reports are unaffected (the
-        # differential suite pins exec-path and seed-path reports to be
-        # identical).
-        from repro.exec import Telemetry
-        bench_telemetry = Telemetry()
     fault_plan = exec_config.fault_plan if exec_config is not None else None
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
                          jobs=args.jobs, backend=args.backend,
-                         telemetry=bench_telemetry, triage=args.triage,
+                         telemetry=telemetry, triage=args.triage,
                          query_timeout=args.query_timeout,
                          max_retries=args.max_retries,
                          on_error=args.on_error,
                          fault_plan=fault_plan,
                          store=_make_store(args),
-                         incremental=args.incremental,
                          sparsify=args.sparsify)
     row = outcome.row()
     print(json.dumps(row, indent=2))
-    if not args.no_bench_json:
-        record = {
-            "schema": "repro-bench-incremental/1",
-            "incremental_enabled": args.incremental,
-            "jobs": args.jobs,
-            "row": row,
-            "incremental": bench_telemetry.as_dict()["incremental"],
-        }
-        try:
-            with open(args.bench_json, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"repro: cannot write bench record to "
-                  f"{args.bench_json!r}: {error}", file=sys.stderr)
-            return 2
+    record = {"schema": "repro-bench/2", "jobs": args.jobs, "row": row}
+    if not _write_bench_record(args, f"BENCH_{args.subject}.json", record):
+        return 2
     if not _write_telemetry(args, telemetry):
         return 2
     return 0 if outcome.failed is None else 2
@@ -581,7 +552,6 @@ def _bench_demand(args: argparse.Namespace) -> int:
               f"(see `repro subjects`)", file=sys.stderr)
         return 2
     settings = EngineSettings(engine=args.engine,
-                              incremental=args.incremental,
                               triage=args.triage,
                               sparsify=args.sparsify,
                               loop_unroll=args.unroll,
@@ -642,18 +612,8 @@ def _bench_demand(args: argparse.Namespace) -> int:
         "pairs": rows,
     }
     print(json.dumps(record, indent=2))
-    if not args.no_bench_json:
-        path = args.bench_json
-        if path == "BENCH_incremental.json":
-            path = "BENCH_demand.json"
-        try:
-            with open(path, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"repro: cannot write bench record to {path!r}: "
-                  f"{error}", file=sys.stderr)
-            return 2
+    if not _write_bench_record(args, "BENCH_demand.json", record):
+        return 2
     return 0 if mismatches == 0 else 2
 
 
@@ -708,8 +668,7 @@ def _bench_loops(args: argparse.Namespace) -> int:
             findings = {}
             started = time.perf_counter()
             for checker in checkers:
-                engine = _make_engine(args.engine, pdg, want_model=True,
-                                      incremental=args.incremental,
+                engine = build_engine(args.engine, pdg, want_model=True,
                                       sparsify=args.sparsify)
                 result = engine.analyze(CHECKER_FACTORIES[checker]())
                 findings[checker] = findings_payload(result)
@@ -749,18 +708,8 @@ def _bench_loops(args: argparse.Namespace) -> int:
         "subjects": subjects,
     }
     print(json.dumps(record, indent=2))
-    if not args.no_bench_json:
-        path = args.bench_json
-        if path == "BENCH_incremental.json":
-            path = "BENCH_loops.json"
-        try:
-            with open(path, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"repro: cannot write bench record to {path!r}: "
-                  f"{error}", file=sys.stderr)
-            return 2
+    if not _write_bench_record(args, "BENCH_loops.json", record):
+        return 2
     return 0 if parity else 2
 
 
@@ -790,7 +739,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         from repro.exec import ArtifactStore
         store = ArtifactStore(args.cache_dir, label=args.file)
     settings = EngineSettings(engine=args.engine,
-                              incremental=args.incremental,
                               triage=args.triage,
                               sparsify=args.sparsify,
                               loop_unroll=args.unroll,
@@ -882,9 +830,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     program = _resolve_subject_program(args.subject, args)
     _record_loop_telemetry(telemetry, program)
     pdg = prepare_pdg(program)
-    engine = _make_engine(args.engine, pdg, want_model=True,
+    engine = build_engine(args.engine, pdg, want_model=True,
                           query_timeout=args.query_timeout,
-                          incremental=args.incremental,
                           sparsify=args.sparsify)
     checker = CHECKER_FACTORIES[args.checker]()
     kwargs = {"triage": True} if args.triage else {}
@@ -931,7 +878,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"repro serve: bad --fault-plan: {error}")
     config = ServeConfig(
         settings=EngineSettings(engine=args.engine,
-                                incremental=not args.no_incremental,
                                 triage=args.triage,
                                 sparsify=args.sparsify,
                                 loop_unroll=args.unroll,

@@ -12,8 +12,8 @@ Three layers live here:
   makes "daemon responses are byte-identical to one-shot ``repro
   analyze``" a testable property (``tests/test_serve_differential.py``).
 * **Hot state** — :class:`AnalysisSession`, one program's resident
-  analysis state: source text, PDG, a single engine object whose
-  per-group solver sessions stay alive across ``analyze()`` calls, and
+  analysis state: source text, PDG, a single engine object whose views
+  and template caches stay alive across ``analyze()`` calls, and
   an optional persistent :class:`~repro.exec.store.ArtifactStore` so a
   re-analysis of an unchanged program replays every verdict instead of
   re-solving (``docs/caching.md``).  ``update_source`` swaps in a new
@@ -46,16 +46,13 @@ ENGINE_CHOICES = ("fusion", "fusion-unopt", "pinpoint", "pinpoint+lfs",
 
 def build_engine(name: str, pdg, *, want_model: bool = False,
                  query_timeout: Optional[float] = None,
-                 incremental: bool = False,
                  budget: Optional[Budget] = None,
                  sparsify: bool = True):
     """One configured engine object from an engine name.
 
     ``query_timeout`` overrides the solver's default 10 s per-query cap
     (the deadline it induces covers slicing through the SAT search, see
-    docs/robustness.md); ``incremental`` routes grouped queries through
-    persistent assumption-based solver sessions (docs/solver.md; the
-    infer baseline has no SMT stage and ignores it); ``budget`` bounds
+    docs/robustness.md); ``budget`` bounds
     the whole run (bench's Memory-Out/timeout protocol); ``sparsify``
     runs collection/slicing/triage over per-checker pruned PDG views
     (docs/sparsification.md — results are byte-identical either way).
@@ -71,15 +68,14 @@ def build_engine(name: str, pdg, *, want_model: bool = False,
     if name in ("fusion", "fusion-unopt"):
         return FusionEngine(pdg, FusionConfig(
             solver=GraphSolverConfig(optimized=(name == "fusion"),
-                                     want_model=want_model, solver=smt,
-                                     incremental=incremental),
+                                     want_model=want_model, solver=smt),
             budget=budget, sparsify=sparsify))
     if name == "infer":
         return InferEngine(pdg, InferConfig(budget=budget))
     if name.startswith("pinpoint"):
         variant = name.partition("+")[2].lower()
         return make_pinpoint(pdg, variant, budget=budget, solver=smt,
-                             incremental=incremental, sparsify=sparsify)
+                             sparsify=sparsify)
     raise ValueError(f"unknown engine {name!r}")
 
 
@@ -128,7 +124,6 @@ class EngineSettings:
 
     engine: str = "fusion"
     want_model: bool = True
-    incremental: bool = True
     triage: bool = False
     sparsify: bool = True
     query_timeout: Optional[float] = None
@@ -185,8 +180,8 @@ class AnalysisSession:
 
     ``store`` (an :class:`~repro.exec.store.ArtifactStore` or None) is
     the cross-request/cross-edit warm path; the engine object itself is
-    the intra-program warm path (live per-group solver sessions, slice
-    and template caches).
+    the intra-program warm path (sparse views, slice and template
+    caches).
     """
 
     def __init__(self, source: Optional[str] = None, *,
@@ -240,7 +235,6 @@ class AnalysisSession:
         engine = build_engine(self.settings.engine, pdg,
                               want_model=self.settings.want_model,
                               query_timeout=self.settings.query_timeout,
-                              incremental=self.settings.incremental,
                               sparsify=self.settings.sparsify)
         old_engine, old_pdg = self.engine, self.pdg
         if old_engine is not None and old_pdg is not None \

@@ -53,7 +53,6 @@ once it expires and return the partial batch.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
@@ -71,7 +70,6 @@ from repro.limits import (Budget, Deadline, QueryDeadlineExceeded,
                           ResourceExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import public_witness
 
@@ -140,14 +138,6 @@ class WorkerSpec:
     #: bounds slicing as well as solving.  ``FaultPolicy.query_timeout``
     #: overrides it when set.
     query_timeout: Optional[float] = None
-    #: Incremental solving: partition batches along candidate
-    #: ``group_key()`` boundaries so a whole group lands on one worker,
-    #: and build a fresh query runner per *batch* (the runner keeps
-    #: per-group :class:`~repro.smt.incremental.SolverSession`s alive
-    #: across the batch's queries).  Re-executing a batch after a fault
-    #: rebuilds the runner from scratch, so the degradation ladder's
-    #: retry/requeue logic needs no special casing.
-    grouped: bool = False
     #: The checker view's condensed :class:`~repro.pdg.reduce.SliceIndex`
     #: (None without sparsification), handed to every worker's slice
     #: cache.  Slices are set-identical with and without it; it only
@@ -241,17 +231,9 @@ class _WorkerState:
                  plan: Optional[FaultPlan] = None,
                  process_worker: bool = False) -> None:
         self.pdg = spec.pdg
-        self.spec = spec
         self.candidates = candidates
         self.cache = SliceCache(cache_capacity, index=spec.slice_index)
-        self.grouped = spec.grouped
-        # Grouped (incremental) mode builds a fresh runner per batch in
-        # solve_batch instead — a shared runner would make concurrent
-        # thread-backend batches race on one solver session.
-        self.query = None if self.grouped \
-            else spec.query_factory(spec.pdg, spec.factory_config)
-        self.session_totals = SessionStats()
-        self._session_lock = threading.Lock()
+        self.query = spec.query_factory(spec.pdg, spec.factory_config)
         self.policy = policy if policy is not None else FaultPolicy()
         self.plan = plan
         self.process_worker = process_worker
@@ -266,32 +248,18 @@ class _WorkerState:
             # May SIGKILL this process (process backend) or raise
             # WorkerCrash for the whole batch (thread/inline backends).
             self.plan.crash_worker(ordinal, attempt, self.process_worker)
-        query = self.query
-        if self.grouped:
-            # One runner per batch: group-affinity partitioning put each
-            # group's candidates in one batch, so this runner's sessions
-            # see the whole group, in index order.
-            query = self.spec.query_factory(self.spec.pdg,
-                                            self.spec.factory_config)
         outcomes = []
-        try:
-            for index in indices:
-                if run_deadline is not None and run_deadline.expired:
-                    # The run clock is gone: return the partial batch
-                    # instead of solving past the limit; the parent's
-                    # budget check turns this into the run's "time"
-                    # failure with all results solved so far preserved.
-                    break
-                outcomes.append(self._solve_one(index, query))
-        finally:
-            if self.grouped:
-                stats_fn = getattr(query, "session_stats", None)
-                if stats_fn is not None:
-                    with self._session_lock:
-                        self.session_totals.merge(stats_fn())
+        for index in indices:
+            if run_deadline is not None and run_deadline.expired:
+                # The run clock is gone: return the partial batch instead
+                # of solving past the limit; the parent's budget check
+                # turns this into the run's "time" failure with all
+                # results solved so far preserved.
+                break
+            outcomes.append(self._solve_one(index))
         return outcomes
 
-    def _solve_one(self, index: int, query) -> QueryOutcome:
+    def _solve_one(self, index: int) -> QueryOutcome:
         candidate = self.candidates[index]
         start = time.perf_counter()
         deadline = Deadline.after(self.query_timeout)
@@ -300,13 +268,8 @@ class _WorkerState:
                 self.plan.apply_query(index, deadline)
             the_slice = self.cache.get(self.pdg, [candidate.path],
                                        deadline=deadline)
-            if self.grouped:
-                smt_result, (memory, condition_memory) = \
-                    query(candidate, the_slice, deadline,
-                          group=candidate.group_key())
-            else:
-                smt_result, (memory, condition_memory) = \
-                    query(candidate, the_slice, deadline)
+            smt_result, (memory, condition_memory) = \
+                self.query(candidate, the_slice, deadline)
         except QueryDeadlineExceeded as error:
             return QueryOutcome(
                 index, SmtStatus.UNKNOWN, False,
@@ -325,10 +288,6 @@ class _WorkerState:
             time.perf_counter() - start, smt_result.condition_nodes,
             public_witness(smt_result.model), memory,
             condition_memory, sat_clauses=smt_result.sat_clauses)
-
-    def session_snapshot(self) -> SessionStats:
-        with self._session_lock:
-            return self.session_totals.snapshot()
 
 
 def _describe(error: BaseException) -> str:
@@ -353,21 +312,16 @@ def _process_init(spec: WorkerSpec, candidates: list[BugCandidate],
 
 def _process_batch(indices: Sequence[int], ordinal: int, attempt: int,
                    run_deadline: Optional[Deadline]
-                   ) -> tuple[list[QueryOutcome], tuple[int, int, int],
-                              tuple[int, ...]]:
+                   ) -> tuple[list[QueryOutcome], tuple[int, int, int]]:
     """Solve one batch in a worker process; returns outcomes plus the
-    cache-counter and session-stats deltas for this batch (workers are
-    single-threaded, so before/after snapshots are exact)."""
+    cache-counter deltas for this batch (workers are single-threaded,
+    so before/after snapshots are exact)."""
     state = _PROCESS_STATE
     assert state is not None, "worker pool initializer did not run"
     before = state.cache.counters()
-    sessions_before = state.session_totals.as_tuple()
     outcomes = state.solve_batch(indices, ordinal, attempt, run_deadline)
     after = state.cache.counters()
-    sessions_after = state.session_totals.as_tuple()
-    return (outcomes,
-            tuple(a - b for a, b in zip(after, before)),
-            tuple(a - b for a, b in zip(sessions_after, sessions_before)))
+    return outcomes, tuple(a - b for a, b in zip(after, before))
 
 
 # --------------------------------------------------------------------- #
@@ -417,12 +371,8 @@ class QueryScheduler:
             return outcomes
         jobs = min(self.config.effective_jobs, len(index_list))
         backend = self.config.resolved_backend()
-        if self.spec.grouped:
-            chunks = self._partition_grouped(index_list, candidates, jobs)
-        else:
-            chunks = self._partition(index_list, jobs)
-        batches = [_Batch(ordinal, chunk)
-                   for ordinal, chunk in enumerate(chunks)]
+        batches = [_Batch(ordinal, chunk) for ordinal, chunk
+                   in enumerate(self._partition(index_list, jobs))]
         ladder = self._ladder(backend, jobs)
         if self.telemetry is not None:
             self.telemetry.annotate(jobs=jobs, backend=backend,
@@ -515,36 +465,6 @@ class QueryScheduler:
         return [index_list[low:low + size]
                 for low in range(0, count, size)]
 
-    def _partition_grouped(self, index_list: list[int],
-                           candidates: list[BugCandidate],
-                           jobs: int) -> list[list[int]]:
-        """Group-affinity batching: whole ``group_key()`` groups per batch.
-
-        Queries are reordered group-contiguously (groups in order of
-        first appearance, indices ascending within a group — the same
-        per-group solve order the sequential path produces), and batch
-        boundaries never split a group, so each group's candidates share
-        one worker-side solver session.  Outcomes are index-keyed, so
-        the reordering never shows in the report.
-        """
-        groups: dict[tuple, list[int]] = {}
-        for index in index_list:
-            groups.setdefault(candidates[index].group_key(),
-                              []).append(index)
-        size = self.config.batch_size
-        if size <= 0:
-            size = max(1, -(-len(index_list) // (jobs * 4)))
-        batches: list[list[int]] = []
-        current: list[int] = []
-        for members in groups.values():
-            if current and len(current) + len(members) > size:
-                batches.append(current)
-                current = []
-            current.extend(members)
-        if current:
-            batches.append(current)
-        return batches
-
     def _ladder(self, backend: str, jobs: int) -> list[str]:
         """The degradation ladder, starting at the configured backend."""
         if jobs == 1 and backend != "process":
@@ -598,7 +518,6 @@ class QueryScheduler:
                 self._absorb(batch_outcomes, outcomes)
         finally:
             self._record_cache(state.cache)
-            self._record_sessions(state.session_snapshot())
 
     def _run_thread(self, candidates: list[BugCandidate],
                     work: list[_Batch], outcomes: list[QueryOutcome],
@@ -622,7 +541,6 @@ class QueryScheduler:
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
             self._record_cache(state.cache)
-            self._record_sessions(state.session_snapshot())
 
     def _run_process(self, candidates: list[BugCandidate],
                      work: list[_Batch], outcomes: list[QueryOutcome],
@@ -706,14 +624,11 @@ class QueryScheduler:
                     failures.append((batch, error))
                     continue
                 if merge_cache_deltas:
-                    batch_outcomes, (hits, misses, evictions), sessions \
-                        = result
+                    batch_outcomes, (hits, misses, evictions) = result
                     if self.telemetry is not None:
                         self.telemetry.record_cache(
                             "slice", hits, misses, evictions,
                             capacity=self.config.slice_cache_capacity)
-                        self._record_sessions(
-                            SessionStats.from_tuple(sessions))
                 else:
                     batch_outcomes = result
                 try:
@@ -809,16 +724,6 @@ class QueryScheduler:
             self.telemetry.record_cache(
                 "slice", stats.hits, stats.misses, stats.evictions,
                 capacity=self.config.slice_cache_capacity)
-
-    def _record_sessions(self, stats: SessionStats) -> None:
-        if self.telemetry is None or not self.spec.grouped:
-            return
-        self.telemetry.record_incremental(
-            sessions=stats.sessions,
-            assumption_solves=stats.assumption_solves,
-            reused_clauses=stats.reused_clauses,
-            encoder_hits=stats.encoder_hits,
-            learned_kept=stats.learned_kept)
 
     def _record_fault(self, name: str, amount: int = 1) -> None:
         if self.telemetry is not None:

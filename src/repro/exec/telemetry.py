@@ -52,7 +52,9 @@ from repro.smt.solver import SmtStatus
 #: /10 added the "loops" section (solver-driven loop summaries: loops
 #: summarized vs fallen back to unrolling, feasible paths enumerated,
 #: summary-cache hits, lowering-time SAT feasibility checks).
-SCHEMA = "repro-exec-telemetry/10"
+#: /11 removed the "incremental" section along with the solver sessions
+#: it counted (they never reused a clause; see docs/solver.md).
+SCHEMA = "repro-exec-telemetry/11"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -91,13 +93,6 @@ class Telemetry:
             "corrupt_entries": 0,      # payloads failing checksum/parse
             "quarantined": 0,          # corrupt files moved to quarantine/
             "io_errors": 0,            # OSError on store read or write
-        }
-        self.incremental: dict[str, int] = {
-            "sessions": 0,           # solver sessions opened
-            "assumption_solves": 0,  # queries decided under assumptions
-            "reused_clauses": 0,     # clauses already present at a solve
-            "encoder_hits": 0,       # term ids served from the CNF cache
-            "learned_kept": 0,       # learned clauses kept across solves
         }
         self.serve: dict[str, float] = {
             "requests": 0,           # requests answered (success or error)
@@ -241,13 +236,6 @@ class Telemetry:
             for key, amount in counts.items():
                 self.store[key] = self.store.get(key, 0) + amount
 
-    def record_incremental(self, **counts: int) -> None:
-        """One engine's or worker batch's incremental-solving counters
-        (see the ``incremental`` section keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.incremental[key] = self.incremental.get(key, 0) + amount
-
     def record_reduce(self, **counts: float) -> None:
         """One registry flush's sparsification counters (see the
         ``reduce`` section keys)."""
@@ -342,7 +330,6 @@ class Telemetry:
                 self.memory[key] = max(self.memory[key], value)
             for section, mine in (("triage", self.triage),
                                   ("store", self.store),
-                                  ("incremental", self.incremental),
                                   ("reduce", self.reduce),
                                   ("query", self.query),
                                   ("loops", self.loops),
@@ -401,7 +388,6 @@ class Telemetry:
                 "memory": dict(self.memory),
                 "triage": dict(self.triage),
                 "store": dict(self.store),
-                "incremental": dict(self.incremental),
                 "reduce": dict(self.reduce),
                 "query": dict(self.query),
                 "loops": dict(self.loops),

@@ -28,7 +28,6 @@ from repro.fusion.transform import CallBinding, ConditionTransformer
 from repro.limits import Deadline, QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats, SolverSession
 from repro.smt.preprocess import Preprocessor, Verdict, constraint_set_size
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.terms import Term
@@ -44,12 +43,6 @@ class GraphSolverConfig:
     #: Extract a satisfying model per feasible query (a concrete witness
     #: for the bug report); costs model completion time.
     want_model: bool = False
-    #: Route grouped queries through persistent assumption-based
-    #: :class:`SolverSession`s (cross-query clause reuse).  Verdicts are
-    #: identical either way; SAT *models* may legitimately differ from
-    #: the fresh-solver ones, so this stays opt-in at the engine level
-    #: (the CLI turns it on per run).
-    incremental: bool = False
 
 
 @dataclass
@@ -75,11 +68,6 @@ class IrBasedSmtSolver:
         self.stats = GraphSolverStats()
         self.smt = SmtSolver(self.transformer.manager, self.config.solver)
         self._local_cache: dict[tuple, list[Term]] = {}
-        #: Lazily opened per-group incremental sessions (see
-        #: ``GraphSolverConfig.incremental``); stats are aggregated
-        #: across all of this solver's sessions.
-        self._sessions: dict[object, SolverSession] = {}
-        self.session_stats = SessionStats()
         #: The in-flight query's deadline; set by :meth:`solve` so the
         #: recursive cloning/template helpers can observe it without
         #: threading a parameter through every closure.
@@ -91,18 +79,12 @@ class IrBasedSmtSolver:
 
     def solve(self, paths: Sequence[DependencePath],
               the_slice: Slice,
-              deadline: Optional[Deadline] = None,
-              group: Optional[object] = None) -> SmtResult:
+              deadline: Optional[Deadline] = None) -> SmtResult:
         """Decide Π's feasibility, bounded by the per-query deadline.
 
         ``deadline`` defaults to a fresh one from the solver config's
         ``time_limit``; overrunning it anywhere (condition assembly,
         preprocessing, SAT search) yields UNKNOWN, never an exception.
-
-        ``group`` names the candidate's shared-prefix group (typically
-        ``(checker, function)``); when set and the config enables
-        incremental solving, the query is decided inside that group's
-        persistent :class:`SolverSession` instead of a fresh solver.
         """
         self.stats.queries += 1
         if deadline is None:
@@ -112,22 +94,9 @@ class IrBasedSmtSolver:
                                             deadline=deadline)
         except QueryDeadlineExceeded:
             return SmtResult(SmtStatus.UNKNOWN)
-        if group is not None and self.config.incremental:
-            return self._session(group).check(
-                constraints, want_model=self.config.want_model,
-                deadline=deadline)
         return self.smt.check(constraints,
                               want_model=self.config.want_model,
                               deadline=deadline)
-
-    def _session(self, group: object) -> SolverSession:
-        session = self._sessions.get(group)
-        if session is None:
-            session = SolverSession(self.transformer.manager,
-                                    self.config.solver,
-                                    stats=self.session_stats)
-            self._sessions[group] = session
-        return session
 
     def condition_of(self, paths: Sequence[DependencePath],
                      the_slice: Slice,

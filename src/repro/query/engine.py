@@ -17,10 +17,10 @@ region between the pair:
    ``restrict=`` the pair's backward-closed region instead of the
    whole covered set; restricted values are byte-identical at every
    vertex a decision reads, so verdicts match the full run.
-4. **Per-pair SMT** — surviving candidates are solved through the
-   engine's own solve path (Fusion's graph solver or Pinpoint's
-   summary expansion), including the pair's group-keyed incremental
-   :class:`~repro.smt.incremental.SolverSession` when enabled.
+4. **Per-pair SMT** — surviving candidates are sliced and solved
+   through the engine's own per-candidate hook
+   (:meth:`~repro.sparse.driver.PathSensitiveEngine.decide`), the one
+   a full ``analyze`` uses.
 5. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.checkers.base import BugCandidate, BugReport, Checker
-from repro.limits import Deadline, QueryDeadlineExceeded
+from repro.limits import QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import public_witness
@@ -204,42 +204,14 @@ def _pair_triage(engine, checker: Checker, view,
     return triage
 
 
-def _solve_pair_candidate(engine, candidate: BugCandidate, view,
-                          deadline_s: Optional[float]) -> SmtResult:
-    """One candidate through the engine's own solve path — the same
-    slicing, the same per-group incremental session, the same deadline
-    shape as the engine's sequential ``analyze`` loop."""
-    from repro.pdg.slicing import compute_slice
-
-    index = view.slice_index if view is not None else None
-    if hasattr(engine, "_solve_one"):  # Pinpoint and variants
-        limit = engine.config.solver.time_limit \
-            if deadline_s is None else deadline_s
-        deadline = Deadline.after(limit)
-        the_slice = compute_slice(engine.pdg, [candidate.path],
-                                  deadline=deadline, index=index)
-        group = candidate.group_key() if engine.config.incremental \
-            else None
-        return engine._solve_one(candidate, the_slice, deadline=deadline,
-                                 group=group)
-    limit = engine.config.solver.solver.time_limit \
-        if deadline_s is None else deadline_s
-    deadline = Deadline.after(limit)
-    the_slice = compute_slice(engine.pdg, [candidate.path],
-                              deadline=deadline, index=index)
-    group = candidate.group_key() if engine.config.solver.incremental \
-        else None
-    return engine.solver.solve([candidate.path], the_slice,
-                               deadline=deadline, group=group)
-
-
 def run_demand_query(engine, checker: Checker, sink_indices,
                      def_indices=None, *, triage: bool = False,
                      store=None, telemetry=None,
                      deadline_s: Optional[float] = None) -> Verdict:
     """Resolve one (def sites, sink sites) pair against a hot engine.
 
-    ``engine`` is a Fusion or Pinpoint engine object (the infer
+    ``engine`` is a :class:`~repro.sparse.driver.PathSensitiveEngine`
+    (Fusion or Pinpoint; the infer
     baseline has no per-candidate solve path and is rejected by
     :meth:`repro.engine.AnalysisSession.query`).  ``sink_indices`` /
     ``def_indices`` are PDG vertex index collections; ``def_indices``
@@ -252,8 +224,8 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     pdg: ProgramDependenceGraph = engine.pdg
     sinks = frozenset(sink_indices)
     defs = frozenset(def_indices) if def_indices is not None else None
-    sparsify = getattr(engine.config, "sparsify", False)
-    view = engine.views.view_for(checker) if sparsify else None
+    view = engine.views.view_for(checker) if engine.config.sparsify \
+        else None
     if telemetry is not None:
         engine.views.flush_telemetry(telemetry)
     slice_index = engine.views.slice_index
@@ -312,8 +284,10 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         candidate = matched[position]
         started = time.perf_counter()
         try:
-            smt_result = _solve_pair_candidate(engine, candidate, view,
-                                               deadline_s)
+            smt_result = engine.decide(
+                candidate,
+                index=view.slice_index if view is not None else None,
+                time_limit=deadline_s)
         except QueryDeadlineExceeded:
             smt_result = SmtResult(SmtStatus.UNKNOWN)
         seconds = time.perf_counter() - started

@@ -24,11 +24,6 @@ class BitBlaster:
         self.solver = solver if solver is not None else SatSolver()
         self._bool_cache: dict[int, int] = {}
         self._bv_cache: dict[int, list[int]] = {}
-        # Encoder-cache traffic: a hit means a term id resolved to an
-        # already-emitted Tseitin literal (no new clauses); sessions use
-        # the counters to prove cross-query reuse actually happened.
-        self.encoder_hits = 0
-        self.encoder_misses = 0
         # A literal constrained to be true; constants reuse it.
         self._true = self.solver.new_var()
         self.solver.add_clause([self._true])
@@ -55,22 +50,16 @@ class BitBlaster:
         """SAT literal equisatisfiable with a Boolean term."""
         lit = self._bool_cache.get(term.tid)
         if lit is None:
-            self.encoder_misses += 1
             lit = self._encode_bool(term)
             self._bool_cache[term.tid] = lit
-        else:
-            self.encoder_hits += 1
         return lit
 
     def bits(self, term: Term) -> list[int]:
         """Little-endian SAT literals for a bit-vector term."""
         cached = self._bv_cache.get(term.tid)
         if cached is None:
-            self.encoder_misses += 1
             cached = self._encode_bv(term)
             self._bv_cache[term.tid] = cached
-        else:
-            self.encoder_hits += 1
         return cached
 
     def model_value(self, term: Term, model: Mapping[int, bool]) -> int:

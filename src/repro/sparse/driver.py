@@ -18,28 +18,39 @@ execution modes behind one result contract:
   order regardless of completion order.  The differential suite
   (``tests/test_parallel_driver.py``) pins both modes to byte-identical
   report lists.
+
+:class:`PathSensitiveEngine` is the one orchestration of that loop
+(view, slice cache, execution plan, triage, store binding); Fusion and
+Pinpoint subclass it and supply only how one candidate is decided
+against its slice, their per-query time limit and their engine-specific
+store-fingerprint keys.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
-from repro.limits import (Budget, MemoryBudgetExceeded,
+from repro.limits import (Budget, Deadline, MemoryBudgetExceeded,
                           QueryDeadlineExceeded, ResourceExceeded,
                           TimeBudgetExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
+from repro.pdg.reduce import ViewRegistry
+from repro.pdg.slicing import Slice, compute_slice
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.smt.terms import Term
 from repro.sparse.engine import SparseConfig, collect_candidates
 
 if TYPE_CHECKING:  # imported lazily via the plan object; no runtime cycle
     from repro.absint.triage import CandidateTriage
-    from repro.exec.scheduler import ExecutionPlan, QueryOutcome
+    from repro.exec.cache import SliceCache
+    from repro.exec.scheduler import ExecConfig, ExecutionPlan, QueryOutcome
     from repro.exec.store import StoreBinding
+    from repro.exec.telemetry import Telemetry
 
 
 @dataclass
@@ -71,6 +82,187 @@ def public_witness(model: dict[Term, int]) -> dict[str, int]:
             for var, value in sorted(model.items(),
                                      key=lambda item: item[0].name)
             if not var.name.startswith("!")}
+
+
+class PathSensitiveEngine:
+    """Algorithm 5 once for every path-sensitive engine: collect Π
+    sparsely, then decide each candidate's feasibility.
+
+    A subclass calls ``__init__`` with its PDG and config (which carries
+    ``sparse``, ``budget`` and ``sparsify``), exposes ``name``, and
+    supplies the three things engines differ in:
+
+    * :meth:`solve_candidate` — decide one candidate against its slice
+      under the query deadline (overruns yield UNKNOWN);
+    * :attr:`query_time_limit` — the per-query wall-clock cap;
+    * :meth:`_fingerprint_keys` — its verdict-affecting settings.
+
+    plus ``_memory_snapshot() -> (total units, condition units)``.
+    """
+
+    name: str
+
+    def __init__(self, pdg: ProgramDependenceGraph, config) -> None:
+        self.pdg = pdg
+        self.config = config
+        #: Per-checker sparse views, cached across ``analyze`` calls (the
+        #: serve daemon keeps the engine hot, so views survive between
+        #: requests until an edit invalidates them).
+        self.views = ViewRegistry(pdg)
+        self.query_records: list[QueryRecord] = []
+
+    def analyze(self, checker: Checker,
+                exec_config: Optional["ExecConfig"] = None,
+                telemetry: Optional["Telemetry"] = None,
+                triage=None, store=None) -> AnalysisResult:
+        """Run the checker; ``exec_config`` opts into the query-execution
+        layer (slice memoization, ``jobs > 1`` worker pools, telemetry)
+        and ``triage`` into the abstract-interpretation pre-pass
+        (``True``, a ``TriageConfig`` or a prebuilt ``CandidateTriage``).
+        ``store`` (an :class:`~repro.exec.store.ArtifactStore`) opts into
+        warm re-analysis: cached verdicts whose dependencies are
+        unchanged are replayed instead of re-solved.  With no argument
+        the seed sequential path runs untouched.
+
+        The engine object may be reused across calls (the serve daemon
+        keeps it hot); all per-run state — query records, telemetry, the
+        result's counters — is rebuilt here, so one request never
+        observes a previous request's numbers."""
+        from repro.absint.triage import make_triage
+        from repro.exec.cache import SliceCache
+
+        self.query_records = []
+        view = self.views.view_for(checker) if self.config.sparsify \
+            else None
+        if telemetry is not None:
+            self.views.flush_telemetry(telemetry)
+        index = view.slice_index if view is not None else None
+        # Sequential-path slice memo (workers keep their own): only when
+        # the caller opted into the exec layer and solves in-process.
+        cache = None
+        if exec_config is not None and exec_config.effective_jobs <= 1:
+            cache = SliceCache(exec_config.slice_cache_capacity,
+                               index=index)
+        execution = self._execution_plan(exec_config, telemetry, index)
+        triage = make_triage(self.pdg, checker, triage, view=view)
+        binding = store.bind(self.pdg,
+                             self._store_fingerprint(triage, checker),
+                             checker.name, telemetry) \
+            if store is not None else None
+        result = run_analysis(self.pdg, checker, self.name,
+                              partial(self.decide, cache=cache, index=index),
+                              self._memory_snapshot, self.config.budget,
+                              self.config.sparse, self.query_records,
+                              execution=execution, triage=triage,
+                              store=binding, view=view)
+        if cache is not None and telemetry is not None:
+            stats = cache.stats()
+            telemetry.record_cache("slice", stats.hits, stats.misses,
+                                   stats.evictions,
+                                   capacity=stats.capacity)
+        return result
+
+    def decide(self, candidate: BugCandidate,
+               cache: Optional["SliceCache"] = None, index=None,
+               time_limit: Optional[float] = None) -> SmtResult:
+        """Slice and solve one candidate under one deadline (slicing
+        included), through ``cache`` when given.  ``time_limit``
+        overrides :attr:`query_time_limit`.  ``QueryDeadlineExceeded``
+        escaping from the slice stage is left to the caller, which
+        reports the query UNKNOWN."""
+        deadline = Deadline.after(self.query_time_limit
+                                  if time_limit is None else time_limit)
+        if cache is not None:
+            the_slice = cache.get(self.pdg, [candidate.path],
+                                  deadline=deadline)
+        else:
+            the_slice = compute_slice(self.pdg, [candidate.path],
+                                      deadline=deadline, index=index)
+        return self.solve_candidate(candidate, the_slice, deadline)
+
+    def _store_fingerprint(self, triage, checker: Checker) -> dict:
+        """Every knob that can change a cacheable verdict (or the report
+        built from it).  Time/conflict limits are deliberately excluded:
+        exceeding either yields UNKNOWN, which is never persisted, so
+        decided verdicts are limit-independent.  Loop lowering (unroll
+        bound, summarization) happens before the PDG exists, so it is
+        already covered by the per-function content keys; the strategy
+        and path budget are keyed anyway as cheap insurance against a
+        content-key bug replaying verdicts across lowering modes."""
+        program = self.pdg.program
+        sparse = self.config.sparse
+        sparsify = self.config.sparsify
+        return {
+            "engine": self.name,
+            "width": program.width,
+            "loop_strategy": getattr(program, "loop_strategy", None),
+            "loop_paths": getattr(program, "loop_paths", None),
+            **self._fingerprint_keys(),
+            "sparse": [sparse.max_paths_per_pair, sparse.max_path_len,
+                       sparse.max_candidates, sparse.revisit_cap],
+            "triage": None if triage is None
+            else [triage.config.max_refinement_steps,
+                  triage.config.widen_after],
+            # The sparsified pipeline is byte-identical by contract, but
+            # a footprint bug would silently replay wrong verdicts, so
+            # the flag and the checker's footprint version key the store
+            # defensively (flipping either invalidates warm artifacts).
+            "sparsify": sparsify,
+            "footprint": [list(part) if isinstance(part, tuple) else part
+                          for part in checker.footprint().key()]
+            if sparsify else None,
+        }
+
+    def _execution_plan(self, exec_config: Optional["ExecConfig"],
+                        telemetry: Optional["Telemetry"], index
+                        ) -> Optional["ExecutionPlan"]:
+        from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
+
+        if exec_config is None and telemetry is None:
+            return None
+        config = exec_config if exec_config is not None else ExecConfig()
+        spec = None
+        # A fault plan needs the worker path even at jobs=1: injection
+        # hooks live in the scheduler's _WorkerState, and the inline
+        # ladder rung gives single-job runs the same retry/synthesize
+        # machinery.  A per-request query timeout (FaultPolicy) takes
+        # the same route — the worker state is where it overrides the
+        # engine's own limit (the serve daemon's per-request deadlines
+        # rely on this at jobs=1).  A circuit breaker does too:
+        # admission and short-circuiting live in the scheduler.
+        if config.effective_jobs > 1 or config.fault_plan is not None \
+                or config.faults.query_timeout is not None \
+                or config.breaker is not None:
+            # Workers cannot observe the whole run's clock; the
+            # completion loop enforces the budget at batch granularity.
+            spec = WorkerSpec(self.pdg, fresh_engine_query,
+                              (type(self), replace(self.config,
+                                                   budget=None)),
+                              query_timeout=self.query_time_limit,
+                              slice_index=index)
+        return ExecutionPlan(config, spec, telemetry)
+
+
+def fresh_engine_query(pdg: ProgramDependenceGraph, recipe: tuple):
+    """The scheduler's query factory for every :class:`PathSensitiveEngine`.
+
+    ``recipe`` is ``(engine class, config)``.  Each call builds a
+    *fresh* engine (fresh term manager, no cross-query summary cache),
+    making the outcome a function of ``(pdg, candidate, config)`` alone
+    — the determinism contract of :mod:`repro.exec.scheduler`.
+    Module-level, with the class pickled by reference, so the process
+    backend can ship it.
+    """
+    engine_class, config = recipe
+
+    def query(candidate: BugCandidate, the_slice: Slice,
+              deadline: Optional[Deadline] = None
+              ) -> tuple[SmtResult, tuple[int, int]]:
+        engine = engine_class(pdg, config)
+        result = engine.solve_candidate(candidate, the_slice, deadline)
+        return result, engine._memory_snapshot()
+
+    return query
 
 
 def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,

@@ -107,7 +107,7 @@ class TestOtherCommands:
         assert "mcf" in out and "wine" in out
 
     def test_bench_single_cell(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # BENCH_incremental.json lands here
+        monkeypatch.chdir(tmp_path)  # BENCH_mcf.json lands here
         code = main(["bench", "--subject", "mcf", "--engine", "fusion"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -115,23 +115,46 @@ class TestOtherCommands:
         assert payload["failure"] is None
         assert len(payload["query_seconds"]) == payload["queries"]
         assert len(payload["query_clauses"]) == payload["queries"]
-        record = json.loads((tmp_path / "BENCH_incremental.json")
-                            .read_text())
-        assert record["schema"] == "repro-bench-incremental/1"
-        assert record["incremental_enabled"] is True
-        assert record["row"]["subject"] == "mcf"
-        assert set(record["incremental"]) == {
-            "sessions", "assumption_solves", "reused_clauses",
-            "encoder_hits", "learned_kept"}
+        record = json.loads((tmp_path / "BENCH_mcf.json").read_text())
+        assert set(record) == {"schema", "jobs", "row"}
+        assert record["schema"] == "repro-bench/2"
+        assert record["jobs"] == 1
+        # The record carries exactly the row printed on stdout.
+        assert record["row"] == payload
 
     def test_bench_no_json_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["bench", "--subject", "mcf", "--engine", "fusion",
-                     "--no-bench-json", "--no-incremental"])
+                     "--no-bench-json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["failure"] is None
-        assert not (tmp_path / "BENCH_incremental.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOneDefault:
+    def test_analyze_findings_match_session_and_library(self, capsys):
+        """`repro analyze --json`, a hot `AnalysisSession` and a library
+        `FusionEngine` with witnesses on solve the same way: their
+        findings, witnesses included, are equal."""
+        from repro.bench.subjects import materialize
+        from repro.checkers import NullDereferenceChecker
+        from repro.engine import (AnalysisSession, EngineSettings,
+                                  findings_payload)
+        from repro.fusion import (FusionConfig, FusionEngine,
+                                  GraphSolverConfig, prepare_pdg)
+
+        assert main(["analyze", "--subject", "twolf", "--json"]) == 0
+        cli = json.loads(capsys.readouterr().out)["findings"]
+        source = materialize("twolf").source
+        session = AnalysisSession(source, settings=EngineSettings())
+        library = FusionEngine(
+            prepare_pdg(materialize("twolf").program),
+            FusionConfig(solver=GraphSolverConfig(want_model=True)))
+        assert any(finding["witness"] for finding in cli)
+        assert findings_payload(session.analyze("null-deref")) == cli
+        assert findings_payload(
+            library.analyze(NullDereferenceChecker())) == cli
 
 
 class TestVerboseScan:
@@ -231,7 +254,7 @@ class TestTriageFlag:
               "--telemetry", str(out)])
         capsys.readouterr()
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-exec-telemetry/10"
+        assert payload["schema"] == "repro-exec-telemetry/11"
         triage = payload["triage"]
         assert triage["decided_infeasible"] + triage["decided_feasible"] \
             + triage["sent_to_smt"] >= 1

@@ -117,7 +117,7 @@ class TestTelemetryKeyOrder:
                         "--telemetry", str(path))
             outs.append(json.loads(path.read_text()))
         first, second = outs
-        assert first["schema"] == "repro-exec-telemetry/10"
+        assert first["schema"] == "repro-exec-telemetry/11"
         assert list(first) == list(second)
         for section in ("solver", "store", "triage", "faults", "memory"):
             assert list(first[section]) == list(second[section])

@@ -391,7 +391,7 @@ class TestConfigurationSurface:
         other.record_loops(loops_summarized=1)
         telemetry.merge(other)
         document = telemetry.as_dict()
-        assert document["schema"].endswith("/10")
+        assert document["schema"].endswith("/11")
         assert document["loops"]["loops_summarized"] == 4
         assert document["loops"]["paths_enumerated"] == 7
 

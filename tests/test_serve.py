@@ -277,7 +277,7 @@ def test_telemetry_serve_section_schema():
                 await rpc(app, "initialize", tenant="t", source=SOURCE)
                 await rpc(app, "analyze", tenant="t")
                 snapshot = (await rpc(app, "telemetry"))["result"]
-                assert snapshot["schema"] == "repro-exec-telemetry/10"
+                assert snapshot["schema"] == "repro-exec-telemetry/11"
                 serve = snapshot["serve"]
                 for key in ("requests", "errors", "rejected",
                             "sessions_alive", "replayed_verdicts",
@@ -344,7 +344,7 @@ def test_telemetry_merge_folds_counters():
     first.count("scheduled_queries", 3)
     second.count("scheduled_queries", 2)
     second.record_cache("slice", 4, 1, 0, capacity=16)
-    second.record_incremental(sessions=2, assumption_solves=5)
+    second.record_store(store_hits=2, replayed_verdicts=5)
     second.record_memory(100, 10)
     first.record_memory(70, 30)
     first.merge(second)
@@ -352,7 +352,7 @@ def test_telemetry_merge_folds_counters():
     assert merged["counters"]["scheduled_queries"] == 5
     assert merged["caches"]["slice"]["hits"] == 4
     assert merged["caches"]["slice"]["capacity"] == 16
-    assert merged["incremental"]["assumption_solves"] == 5
+    assert merged["store"]["replayed_verdicts"] == 5
     # Memory peaks fold as maxima, not sums.
     assert merged["memory"]["peak_units"] == 100
     assert merged["memory"]["peak_condition_units"] == 30
@@ -389,23 +389,22 @@ def test_splice_function_rejects_name_mismatch():
 
 def test_hot_engine_counters_are_per_request():
     """Reusing one engine object across analyze() calls must not leak
-    query records or double-count incremental session telemetry."""
+    query records or double-count solver telemetry."""
     source = fuzz_source(3)
     with tempfile.TemporaryDirectory() as tmp:
         store = ArtifactStore(tmp)
         from repro.fusion import FusionConfig, GraphSolverConfig
         pdg = prepare_pdg(compile_source(source, LoweringConfig()))
         engine = FusionEngine(pdg, FusionConfig(
-            solver=GraphSolverConfig(want_model=True, incremental=True)))
+            solver=GraphSolverConfig(want_model=True)))
 
         cold_tel = Telemetry()
         cold = engine.analyze(NullDereferenceChecker(), store=store,
                               telemetry=cold_tel)
         assert cold.smt_queries > 0
         cold_records = len(engine.query_records)
-        cold_solves = cold_tel.as_dict()["incremental"][
-            "assumption_solves"]
-        assert cold_solves > 0
+        cold_solves = cold_tel.as_dict()["solver"]["total"]
+        assert cold_solves == cold.smt_queries
 
         warm_tel = Telemetry()
         warm = engine.analyze(NullDereferenceChecker(), store=store,
@@ -417,10 +416,9 @@ def test_hot_engine_counters_are_per_request():
         # query_records is per-request, not cumulative.
         assert len(engine.query_records) == 0
         assert cold_records == cold.smt_queries
-        # Incremental telemetry records this run's delta, not the hot
+        # Solver telemetry records this run's queries, not the hot
         # engine's lifetime totals (nothing solved → nothing recorded).
-        assert warm_tel.as_dict()["incremental"][
-            "assumption_solves"] == 0
+        assert warm_tel.as_dict()["solver"]["total"] == 0
 
 
 def test_hot_session_counters_without_store():

@@ -108,7 +108,7 @@ def test_triage_decides_candidates_and_reports_telemetry():
             exec_config=ExecConfig(jobs=1), telemetry=telemetry,
             triage=True)
         payload = telemetry.as_dict()
-        assert payload["schema"] == "repro-exec-telemetry/10"
+        assert payload["schema"] == "repro-exec-telemetry/11"
         triage = payload["triage"]
         assert triage["decided_infeasible"] \
             == result.triage_decided_infeasible
