@@ -122,11 +122,12 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                store=None, sparsify: bool = True) -> RunOutcome:
     """Run one (engine, checker) pair on one subject.
 
-    ``jobs=1`` (the default) is the seed sequential path — benchmark
-    numbers for Table 3 / Figure 11 are unchanged.  ``jobs > 1`` routes
-    feasibility queries through the :mod:`repro.exec` scheduler;
-    ``triage=True`` enables the absint pre-pass on the path-sensitive
-    engines.  ``query_timeout``/``max_retries``/``on_error`` tune the
+    Feasibility queries go through the :mod:`repro.exec` scheduler:
+    ``jobs=1`` (the default) solves in place with the engine itself,
+    which is what Table 3 / Figure 11 measure; ``jobs > 1`` dispatches
+    them over a worker pool.  ``triage=True`` enables the absint
+    pre-pass on the path-sensitive engines.
+    ``query_timeout``/``max_retries``/``on_error`` tune the
     fault-tolerance layer, and ``fault_plan`` injects deterministic
     faults (CI resilience matrix).  ``store`` (an
     :class:`~repro.exec.store.ArtifactStore`) opts the path-sensitive
@@ -159,17 +160,11 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
         policy_kwargs["query_timeout"] = query_timeout
     if max_retries is not None:
         policy_kwargs["max_retries"] = max_retries
-    default_faults = (on_error == "unknown" and max_retries is None
-                      and fault_plan is None)
-    if jobs == 1 and backend == "auto" and telemetry is None \
-            and default_faults and query_timeout is None:
-        result = engine_obj.analyze(checker, **kwargs)
-    else:
-        exec_config = ExecConfig(jobs=jobs, backend=backend,
-                                 faults=FaultPolicy(**policy_kwargs),
-                                 fault_plan=fault_plan)
-        result = engine_obj.analyze(checker, exec_config=exec_config,
-                                    telemetry=telemetry, **kwargs)
+    exec_config = ExecConfig(jobs=jobs, backend=backend,
+                             faults=FaultPolicy(**policy_kwargs),
+                             fault_plan=fault_plan)
+    result = engine_obj.analyze(checker, exec_config=exec_config,
+                                telemetry=telemetry, **kwargs)
     if telemetry is not None:
         telemetry.annotate(subject=subject_name)
     precision = evaluate_reports(subject, result)

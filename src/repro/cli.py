@@ -27,6 +27,8 @@ from repro.pdg import pdg_to_dot
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.exec import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Fusion: path-sensitive sparse analysis (PLDI'21 "
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a 429-style error (default 32)")
     serve.add_argument("--jobs", type=int, default=1,
                        help="per-request worker pool size (default 1)")
-    serve.add_argument("--backend", default="auto",
+    serve.add_argument("--backend", default="auto", choices=BACKENDS,
                        help="per-request pool flavor (default auto)")
     serve.add_argument("--cache-root", metavar="DIR", default=None,
                        help="root directory for per-tenant artifact "
@@ -279,7 +281,7 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.exec import BACKENDS
 
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker pool size; 1 = seed sequential path "
+                        help="worker pool size; 1 = solve in process "
                              "(default 1)")
     parser.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="worker pool flavor (default auto: process "
@@ -412,7 +414,7 @@ def cmd_subjects(_args: argparse.Namespace) -> int:
 
 
 def _exec_options(args: argparse.Namespace):
-    """(ExecConfig | None, Telemetry | None) from the shared exec flags."""
+    """(ExecConfig, Telemetry | None) from the shared exec flags."""
     from repro.exec import ExecConfig, FaultPlan, FaultPolicy, Telemetry
 
     telemetry = Telemetry() if args.telemetry else None
@@ -427,12 +429,6 @@ def _exec_options(args: argparse.Namespace):
             fault_plan = FaultPlan.parse(args.fault_plan)
         except ValueError as error:
             raise SystemExit(f"repro: bad --fault-plan: {error}")
-    plain = (args.jobs == 1 and args.backend == "auto"
-             and args.batch_size == 0 and args.on_error == "unknown"
-             and args.query_timeout is None and args.max_retries is None
-             and fault_plan is None)
-    if plain and telemetry is None:
-        return None, None
     return ExecConfig(jobs=args.jobs, backend=args.backend,
                       batch_size=args.batch_size,
                       faults=FaultPolicy(**policy_kwargs),
@@ -504,7 +500,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
               "(infer has no SMT stage)", file=sys.stderr)
         return 2
     exec_config, telemetry = _exec_options(args)
-    fault_plan = exec_config.fault_plan if exec_config is not None else None
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
                          jobs=args.jobs, backend=args.backend,
@@ -512,7 +507,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          query_timeout=args.query_timeout,
                          max_retries=args.max_retries,
                          on_error=args.on_error,
-                         fault_plan=fault_plan,
+                         fault_plan=exec_config.fault_plan,
                          store=_make_store(args),
                          sparsify=args.sparsify)
     row = outcome.row()

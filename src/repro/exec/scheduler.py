@@ -1,21 +1,29 @@
-"""Parallel batched feasibility solving over a fault-tolerant worker pool.
+"""The one decide loop: batched, fault-tolerant feasibility solving.
 
-The scheduler turns the driver's per-candidate solve loop into batched
-query execution: candidates are partitioned into index batches and
-dispatched over a ``concurrent.futures`` pool, thread- or process-backed.
-Results are keyed by candidate index, so the assembled report list is
+Every pending candidate of an ``analyze`` run or a demand query is
+sliced, solved, recorded and checked against the run budget here.
+Candidates are partitioned into index batches; a run configured for
+one job solves them in place, a run with more jobs dispatches them over
+a ``concurrent.futures`` pool, thread- or process-backed.  Results are
+keyed by candidate index, so the assembled report list is
 **deterministic regardless of completion order**.
 
-Determinism of the *verdicts* rests on a stronger property that the
-differential test suite (`tests/test_parallel_driver.py`) enforces: each
-query is solved as a pure function of ``(PDG, candidate, engine config)``
-— a worker builds a fresh engine (fresh term manager) per query, so a
-query's outcome cannot depend on which other queries ran before it, on
+The in-place rung solves with the caller's own engine (its
+``inline_query``): the hot engine's template and summary caches and
+its cumulative memory model carry across queries exactly as in the
+paper's sequential Algorithm 5, and each outcome is absorbed — recorded
+and checked against the budget — as soon as its query finishes, so a
+budget abort keeps every report decided before it.
+
+Pool workers build a fresh engine (fresh term manager) per query, so a
+query's outcome is a pure function of ``(PDG, candidate, engine
+config)``: it cannot depend on which other queries ran before it, on
 which worker it landed, or on how many workers there are.  Feasibility
 statuses, preprocess decisions and program-variable witnesses then match
-the seed sequential driver exactly; only solver-internal choice variables
+the in-place run exactly; only solver-internal choice variables
 (``!k*``, filtered from witnesses) ever differed, see
-``docs/parallelism.md``.
+``docs/parallelism.md``.  The differential suite
+(``tests/test_parallel_driver.py``) enforces this.
 
 Purity is also what makes the layer *fault-tolerant* (see
 ``docs/robustness.md``): re-executing a lost batch is safe, so worker
@@ -34,6 +42,8 @@ death is survivable by requeueing.  Failure handling has three tiers:
 
 Worker model:
 
+* **inline** — no pool: the ``jobs=1`` run, and the last rung of a
+  degraded pooled run (which keeps the fresh-engine factory).
 * **thread** — workers share the parent's PDG, candidate list and one
   lock-protected :class:`~repro.exec.cache.SliceCache`.  Useful for
   differential testing and on platforms without ``fork``; the GIL limits
@@ -44,10 +54,10 @@ Worker model:
   Batches move only candidate *indices* and compact
   :class:`QueryOutcome` records across the process boundary.
 
-Budgets are enforced at two cadences: the completion loop checks the run
-budget per absorbed batch, and workers receive the run clock as an
-absolute :class:`~repro.limits.Deadline` so they stop *between queries*
-once it expires and return the partial batch.
+Pooled runs check the run budget per absorbed batch, and workers
+receive the run clock as an absolute :class:`~repro.limits.Deadline` so
+they stop *between queries* once it expires and return the partial
+batch.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.checkers.base import BugCandidate
 from repro.exec.breaker import CircuitBreaker
@@ -85,7 +95,7 @@ QueryFn = Callable[[BugCandidate, Slice, Optional[Deadline]],
 #: so the process backend can pickle it by reference.
 QueryFactory = Callable[[ProgramDependenceGraph, object], QueryFn]
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "thread", "process")
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -95,7 +105,7 @@ class ExecConfig:
     """Query-execution knobs (``repro analyze --jobs N --backend B``)."""
 
     jobs: int = 1
-    backend: str = "auto"       # auto | serial | thread | process
+    backend: str = "auto"       # auto | thread | process (jobs > 1)
     batch_size: int = 0         # 0 = derive from jobs and candidate count
     slice_cache_capacity: Optional[int] = 256
     #: Failure handling: error policy, per-query timeout, retry budget.
@@ -113,13 +123,6 @@ class ExecConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown exec backend {self.backend!r}")
         return self.backend
-
-    @property
-    def effective_jobs(self) -> int:
-        """Worker count after the ``serial`` override."""
-        if self.backend == "serial":
-            return 1
-        return max(1, self.jobs)
 
 
 @dataclass
@@ -175,31 +178,25 @@ class QueryOutcome:
 
     @property
     def feasible(self) -> bool:
-        # Soundy convention (matches the sequential driver): only a
-        # proven-UNSAT path condition suppresses the report.
+        # Soundy convention: only a proven-UNSAT path condition
+        # suppresses the report.
         return self.status is not SmtStatus.UNSAT
 
 
 @dataclass
 class ExecutionPlan:
-    """Bundle handed to ``run_analysis``: config + worker recipe +
-    telemetry sink.  ``spec=None`` means telemetry-only instrumentation
-    of the sequential path (no parallel capability)."""
+    """Bundle handed to ``run_analysis``: config, worker recipe,
+    telemetry sink, and the in-place query a one-job run solves with
+    (None: build one from ``spec`` like a worker does)."""
 
     config: ExecConfig
-    spec: Optional[WorkerSpec] = None
-    telemetry: Optional[Telemetry] = None
-
-    @property
-    def parallel_jobs(self) -> int:
-        if self.spec is None:
-            return 1
-        return self.config.effective_jobs
+    spec: WorkerSpec
+    telemetry: Telemetry = field(default_factory=Telemetry)
+    inline_query: Optional[QueryFn] = None
 
     def make_scheduler(self, budget: Optional[Budget]) -> "QueryScheduler":
-        assert self.spec is not None
         return QueryScheduler(self.spec, self.config, self.telemetry,
-                              budget)
+                              budget, self.inline_query)
 
 
 @dataclass
@@ -222,6 +219,8 @@ class _WorkerState:
     The thread backend builds one shared instance (candidates and cache
     shared, fresh engine per query); the process backend builds one per
     worker process from the spec and candidates its initializer got.
+    ``query`` (the in-place rung's hot engine) replaces the spec's
+    factory.
     """
 
     def __init__(self, spec: WorkerSpec,
@@ -229,11 +228,13 @@ class _WorkerState:
                  candidates: list[BugCandidate],
                  policy: Optional[FaultPolicy] = None,
                  plan: Optional[FaultPlan] = None,
-                 process_worker: bool = False) -> None:
+                 process_worker: bool = False,
+                 query: Optional[QueryFn] = None) -> None:
         self.pdg = spec.pdg
         self.candidates = candidates
         self.cache = SliceCache(cache_capacity, index=spec.slice_index)
-        self.query = spec.query_factory(spec.pdg, spec.factory_config)
+        self.query = query if query is not None \
+            else spec.query_factory(spec.pdg, spec.factory_config)
         self.policy = policy if policy is not None else FaultPolicy()
         self.plan = plan
         self.process_worker = process_worker
@@ -244,20 +245,26 @@ class _WorkerState:
                     ordinal: Optional[int] = None, attempt: int = 0,
                     run_deadline: Optional[Deadline] = None
                     ) -> list[QueryOutcome]:
+        return list(self.solve_each(indices, ordinal, attempt,
+                                    run_deadline))
+
+    def solve_each(self, indices: Sequence[int],
+                   ordinal: Optional[int] = None, attempt: int = 0,
+                   run_deadline: Optional[Deadline] = None
+                   ) -> Iterator[QueryOutcome]:
+        """Yield each query's outcome as soon as it finishes."""
         if self.plan is not None:
             # May SIGKILL this process (process backend) or raise
             # WorkerCrash for the whole batch (thread/inline backends).
             self.plan.crash_worker(ordinal, attempt, self.process_worker)
-        outcomes = []
         for index in indices:
             if run_deadline is not None and run_deadline.expired:
                 # The run clock is gone: return the partial batch instead
                 # of solving past the limit; the parent's budget check
                 # turns this into the run's "time" failure with all
                 # results solved so far preserved.
-                break
-            outcomes.append(self._solve_one(index))
-        return outcomes
+                return
+            yield self._solve_one(index)
 
     def _solve_one(self, index: int) -> QueryOutcome:
         candidate = self.candidates[index]
@@ -334,12 +341,15 @@ class QueryScheduler:
     surviving query errors, deadline overruns and worker death."""
 
     def __init__(self, spec: WorkerSpec, config: ExecConfig,
-                 telemetry: Optional[Telemetry] = None,
-                 budget: Optional[Budget] = None) -> None:
+                 telemetry: Telemetry, budget: Optional[Budget] = None,
+                 inline_query: Optional[QueryFn] = None) -> None:
         self.spec = spec
         self.config = config
         self.telemetry = telemetry
         self.budget = budget
+        #: The caller's hot-engine query, used when the run is configured
+        #: for one job; a degraded pooled run keeps fresh engines.
+        self.inline_query = inline_query if config.jobs <= 1 else None
         #: index -> group_key, populated per run when a breaker is set;
         #: failure/success events are attributed to groups through it.
         self._breaker_groups: Optional[dict[int, tuple]] = None
@@ -369,15 +379,13 @@ class QueryScheduler:
         if not index_list:
             outcomes.sort(key=lambda outcome: outcome.index)
             return outcomes
-        jobs = min(self.config.effective_jobs, len(index_list))
-        backend = self.config.resolved_backend()
+        jobs = min(max(1, self.config.jobs), len(index_list))
         batches = [_Batch(ordinal, chunk) for ordinal, chunk
                    in enumerate(self._partition(index_list, jobs))]
-        ladder = self._ladder(backend, jobs)
-        if self.telemetry is not None:
-            self.telemetry.annotate(jobs=jobs, backend=backend,
-                                    batches=len(batches))
-            self.telemetry.count("batches", len(batches))
+        ladder = self._ladder(jobs)
+        self.telemetry.annotate(jobs=jobs, backend=ladder[0],
+                                batches=len(batches))
+        self.telemetry.count("batches", len(batches))
         run_deadline = None
         if self.budget is not None and self.budget.max_seconds is not None:
             run_deadline = self.budget.deadline()
@@ -388,8 +396,7 @@ class QueryScheduler:
                 break
             if step > 0:
                 self._record_fault("degradations")
-                if self.telemetry is not None:
-                    self.telemetry.annotate(degraded_to=level)
+                self.telemetry.annotate(degraded_to=level)
             remaining = self._run_level(level, candidates, remaining,
                                         outcomes, jobs, run_deadline)
         assert not remaining, "inline execution left batches behind"
@@ -449,8 +456,7 @@ class QueryScheduler:
                 self._record_breaker(trips=1)
 
     def _record_breaker(self, **counts: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_breaker(**counts)
+        self.telemetry.record_breaker(**counts)
 
     # -- partitioning --------------------------------------------------- #
 
@@ -465,11 +471,12 @@ class QueryScheduler:
         return [index_list[low:low + size]
                 for low in range(0, count, size)]
 
-    def _ladder(self, backend: str, jobs: int) -> list[str]:
-        """The degradation ladder, starting at the configured backend."""
-        if jobs == 1 and backend != "process":
+    def _ladder(self, jobs: int) -> list[str]:
+        """The degradation ladder, starting at the configured backend
+        (one job needs no pool, whatever the backend)."""
+        if jobs == 1:
             return ["inline"]
-        if backend == "thread":
+        if self.config.resolved_backend() == "thread":
             return ["thread", "inline"]
         return ["process", "thread", "inline"]
 
@@ -482,7 +489,7 @@ class QueryScheduler:
         """Run ``work`` at one ladder level; returns the batches this
         level could not execute (they degrade to the next level)."""
         if level == "inline":
-            self._run_inline(candidates, work, outcomes, run_deadline)
+            self._run_inline(candidates, work, outcomes)
             return []
         if level == "thread":
             return self._run_thread(candidates, work, outcomes, jobs,
@@ -491,31 +498,37 @@ class QueryScheduler:
                                  run_deadline)
 
     def _run_inline(self, candidates: list[BugCandidate],
-                    work: list[_Batch], outcomes: list[QueryOutcome],
-                    run_deadline: Optional[Deadline]) -> None:
+                    work: list[_Batch], outcomes: list[QueryOutcome]
+                    ) -> None:
         """Single-worker case and the ladder's last rung: no pool, still
-        batched (budget cadence matches the parallel backends), always
-        completes — a batch that keeps failing is synthesized UNKNOWN."""
+        batched (fault plans name batches by ordinal), always completes —
+        a batch that keeps failing is synthesized UNKNOWN.  Each outcome
+        is absorbed, and the run budget checked, as soon as its query
+        finishes; that check is what stops the run, so no run deadline
+        is needed here.  Only a fault before a batch's first query is
+        retried (a failed query becomes an UNKNOWN outcome; a budget or
+        abort error propagates), so a retry never re-solves an absorbed
+        query.
+        """
         state = _WorkerState(self.spec, self.config.slice_cache_capacity,
                              candidates=candidates,
                              policy=self.config.faults,
-                             plan=self.config.fault_plan)
+                             plan=self.config.fault_plan,
+                             query=self.inline_query)
         queue = deque(work)
         try:
             while queue:
                 batch = queue.popleft()
                 try:
-                    batch_outcomes = state.solve_batch(
-                        batch.indices, batch.ordinal, batch.attempt,
-                        run_deadline)
+                    for outcome in state.solve_each(
+                            batch.indices, batch.ordinal, batch.attempt):
+                        self._absorb([outcome], outcomes)
                 except Exception as error:
                     retry = self._batch_failed(batch, error)
                     if retry is not None:
                         queue.append(retry)
                     else:
                         self._synthesize(batch, error, outcomes)
-                    continue
-                self._absorb(batch_outcomes, outcomes)
         finally:
             self._record_cache(state.cache)
 
@@ -625,10 +638,9 @@ class QueryScheduler:
                     continue
                 if merge_cache_deltas:
                     batch_outcomes, (hits, misses, evictions) = result
-                    if self.telemetry is not None:
-                        self.telemetry.record_cache(
-                            "slice", hits, misses, evictions,
-                            capacity=self.config.slice_cache_capacity)
+                    self.telemetry.record_cache(
+                        "slice", hits, misses, evictions,
+                        capacity=self.config.slice_cache_capacity)
                 else:
                     batch_outcomes = result
                 try:
@@ -685,21 +697,20 @@ class QueryScheduler:
     def _absorb(self, batch: list[QueryOutcome],
                 outcomes: list[QueryOutcome]) -> None:
         outcomes.extend(batch)
-        if self.telemetry is not None:
-            for outcome in batch:
-                if outcome.short_circuited:
-                    # Never dispatched: no solver work, no fault — the
-                    # breaker section already counted the short-circuit.
-                    continue
-                self.telemetry.record_query(
-                    outcome.status, outcome.seconds,
-                    outcome.decided_in_preprocess, outcome.condition_nodes)
-                self.telemetry.record_memory(outcome.memory_units,
-                                             outcome.condition_memory_units)
-                if outcome.timed_out:
-                    self.telemetry.record_fault("query_timeouts")
-                elif outcome.error is not None:
-                    self.telemetry.record_fault("query_errors")
+        for outcome in batch:
+            if outcome.short_circuited:
+                # Never dispatched: no solver work, no fault — the
+                # breaker section already counted the short-circuit.
+                continue
+            self.telemetry.record_query(
+                outcome.status, outcome.seconds,
+                outcome.decided_in_preprocess, outcome.condition_nodes)
+            self.telemetry.record_memory(outcome.memory_units,
+                                         outcome.condition_memory_units)
+            if outcome.timed_out:
+                self.telemetry.record_fault("query_timeouts")
+            elif outcome.error is not None:
+                self.telemetry.record_fault("query_errors")
         breaker = self.config.breaker
         if breaker is not None and self._breaker_groups is not None:
             for outcome in batch:
@@ -719,12 +730,10 @@ class QueryScheduler:
             self.budget.check_time()
 
     def _record_cache(self, cache: SliceCache) -> None:
-        if self.telemetry is not None:
-            stats = cache.stats()
-            self.telemetry.record_cache(
-                "slice", stats.hits, stats.misses, stats.evictions,
-                capacity=self.config.slice_cache_capacity)
+        stats = cache.stats()
+        self.telemetry.record_cache(
+            "slice", stats.hits, stats.misses, stats.evictions,
+            capacity=self.config.slice_cache_capacity)
 
     def _record_fault(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_fault(name, amount)
+        self.telemetry.record_fault(name, amount)

@@ -500,7 +500,9 @@ class SparsePDGView:
         view.source_reach_functions = self.source_reach_functions
         view.nodes_kept = self.nodes_kept
         view.edges_kept = self.edges_kept
-        view.condensation = self.condensation
+        # Rebuilt, not copied: an edit elsewhere shifts vertex indices,
+        # and the old condensation would answer for the old numbering.
+        view.condensation = _condense(new_pdg, kept)
         return view
 
 
@@ -607,12 +609,17 @@ def build_view(pdg: ProgramDependenceGraph, checker: "Checker",
         view.source_reach_functions = \
             {pdg.vertices[index].function for index in reach}
 
-    # Condensed DAG of the kept subgraph (stats, dot, unit tests).
-    kept_edges = [(index, edge.dst.index)
-                  for index, entries in view._kept.items()
-                  for edge, _ in entries]
-    view.condensation = Condensation(num, kept_edges)
+    view.condensation = _condense(pdg, view._kept)
     return view
+
+
+def _condense(pdg: ProgramDependenceGraph, kept: dict) -> Condensation:
+    """The condensed DAG of a view's kept subgraph (source
+    pre-filtering for demand queries, stats, dot, unit tests)."""
+    return Condensation(pdg.num_vertices,
+                        [(index, edge.dst.index)
+                         for index, entries in kept.items()
+                         for edge, _ in entries])
 
 
 # ---------------------------------------------------------------------- #

@@ -17,10 +17,11 @@ region between the pair:
    ``restrict=`` the pair's backward-closed region instead of the
    whole covered set; restricted values are byte-identical at every
    vertex a decision reads, so verdicts match the full run.
-4. **Per-pair SMT** — surviving candidates are sliced and solved
-   through the engine's own per-candidate hook
-   (:meth:`~repro.sparse.driver.PathSensitiveEngine.decide`), the one
-   a full ``analyze`` uses.
+4. **Per-pair decisions** — the matched candidates go through the
+   post-collection pipeline a full ``analyze`` uses
+   (:func:`~repro.sparse.driver.decide_candidates`): store replay,
+   triage, then the query scheduler, solving in place with the hot
+   engine.
 5. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is
@@ -34,15 +35,13 @@ cap (50k) is far above every bundled subject; see ``docs/queries.md``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.checkers.base import BugCandidate, BugReport, Checker
-from repro.limits import QueryDeadlineExceeded
+from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
+                                 Checker)
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.smt.solver import SmtResult, SmtStatus
-from repro.sparse.driver import public_witness
+from repro.sparse.driver import decide_candidates
 from repro.sparse.engine import collect_candidates
 
 
@@ -215,11 +214,14 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     baseline has no per-candidate solve path and is rejected by
     :meth:`repro.engine.AnalysisSession.query`).  ``sink_indices`` /
     ``def_indices`` are PDG vertex index collections; ``def_indices``
-    of None means "any source".  The returned verdict's findings are
-    byte-identical to the corresponding entries of a full ``analyze``.
+    of None means "any source".  ``deadline_s`` caps each SMT query
+    (the scheduler's ``FaultPolicy.query_timeout``, as for a serve
+    ``analyze``).  The returned verdict's findings are byte-identical
+    to the corresponding entries of a full ``analyze``.
     """
-    from repro.absint.triage import TriageVerdict
     from repro.engine.core import findings_payload
+    from repro.exec.faults import FaultPolicy
+    from repro.exec.scheduler import ExecConfig
 
     pdg: ProgramDependenceGraph = engine.pdg
     sinks = frozenset(sink_indices)
@@ -241,88 +243,37 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     region = pair_region(pdg, slice_index, matched)
     pdg_edges = sum(len(pdg.data_succs(v)) for v in pdg.vertices)
 
+    result = AnalysisResult(engine.name, checker.name)
     reports: dict[int, BugReport] = {}
-    pending = list(range(len(matched)))
-    binding = None
-    triage_decided = 0
-    smt_queries = 0
-    unknown_queries = 0
-
-    if matched and store is not None:
-        triage_probe = _pair_triage(engine, checker, view, region) \
+    if matched:
+        pair_triage = _pair_triage(engine, checker, view, region) \
             if triage else None
         binding = store.bind(pdg,
-                             engine._store_fingerprint(triage_probe,
+                             engine._store_fingerprint(pair_triage,
                                                        checker),
-                             checker.name, telemetry)
-        pending = binding.replay(matched, reports)
-        triage_obj = triage_probe
-    else:
-        triage_obj = _pair_triage(engine, checker, view, region) \
-            if triage and matched else None
-
-    if triage_obj is not None and pending:
-        still_pending = []
-        for position in pending:
-            candidate = matched[position]
-            decision = triage_obj.decide(candidate)
-            if decision.verdict is TriageVerdict.NEEDS_SMT:
-                still_pending.append(position)
-                continue
-            triage_decided += 1
-            feasible = decision.verdict \
-                is TriageVerdict.PROVEN_FEASIBLE
-            # Sorted witness keys: the cold output must match what a
-            # store replay would render back from sorted-key JSON.
-            reports[position] = BugReport(
-                candidate, feasible,
-                witness=dict(sorted(decision.witness.items())),
-                decided_in_triage=True)
-        pending = still_pending
-
-    for position in pending:
-        candidate = matched[position]
-        started = time.perf_counter()
-        try:
-            smt_result = engine.decide(
-                candidate,
-                index=view.slice_index if view is not None else None,
-                time_limit=deadline_s)
-        except QueryDeadlineExceeded:
-            smt_result = SmtResult(SmtStatus.UNKNOWN)
-        seconds = time.perf_counter() - started
-        smt_queries += 1
-        if smt_result.status is SmtStatus.UNKNOWN:
-            unknown_queries += 1
-        if telemetry is not None:
-            telemetry.record_query(smt_result.status, seconds,
-                                   smt_result.decided_in_preprocess,
-                                   smt_result.condition_nodes)
+                             checker.name, telemetry) \
+            if store is not None else None
+        execution = engine._execution_plan(
+            ExecConfig(faults=FaultPolicy(query_timeout=deadline_s)),
+            telemetry, view)
+        decide_candidates(matched, execution, result, reports,
+                          triage=pair_triage, store=binding)
         if binding is not None:
-            binding.observe(position, smt_result.status)
-        reports[position] = BugReport(
-            candidate, smt_result.status is not SmtStatus.UNSAT,
-            smt_result.decided_in_preprocess, seconds,
-            public_witness(smt_result.model))
+            binding.commit(matched, reports)
 
-    if binding is not None:
-        binding.commit(matched, reports)
-
-    ordered = [reports[position] for position in sorted(reports)]
-    findings = findings_payload(_ReportCarrier(ordered))
+    result.reports = [reports[position] for position in sorted(reports)]
     verdict = Verdict(
         checker=checker.name,
         reachable=bool(matched),
-        feasible=any(report.feasible for report in ordered),
-        findings=findings,
+        feasible=any(report.feasible for report in result.reports),
+        findings=findings_payload(result),
         candidates=len(matched),
         sources_scanned=len(selected),
         sources_skipped=skipped,
-        replayed_verdicts=sum(1 for report in ordered
-                              if report.replayed),
-        triage_decided=triage_decided,
-        smt_queries=smt_queries,
-        unknown_queries=unknown_queries,
+        replayed_verdicts=result.replayed_verdicts,
+        triage_decided=result.triage_decided,
+        smt_queries=result.smt_queries,
+        unknown_queries=result.unknown_queries,
         region_nodes=len(region),
         region_edges=_region_edge_count(pdg, region),
         pdg_nodes=pdg.num_vertices,
@@ -337,13 +288,6 @@ def run_demand_query(engine, checker: Checker, sink_indices,
             pdg_edges=verdict.pdg_edges,
             verdicts_replayed=verdict.replayed_verdicts)
     return verdict
-
-
-class _ReportCarrier:
-    """Minimal ``AnalysisResult`` stand-in for ``findings_payload``."""
-
-    def __init__(self, reports: list[BugReport]) -> None:
-        self.reports = reports
 
 
 __all__ = ["Verdict", "run_demand_query", "pair_region",

@@ -6,48 +6,45 @@ feasibility — and differs only in *how* feasibility is decided.  The
 driver also enforces the run's resource budget (the paper's 12 h / 100 GB
 caps) and records per-query data for the Figure 11 scatter.
 
-Since the queries are independent of one another, the driver supports two
-execution modes behind one result contract:
-
-* **sequential** (the default, and the ``jobs=1`` degenerate case) — the
-  seed loop: one engine, one solver, candidates decided in order.  All
-  Figure-11/Table-3 benchmark semantics live here, unchanged.
-* **parallel** — an :class:`~repro.exec.scheduler.ExecutionPlan` routes
-  batches of candidates through a worker pool; outcomes come back keyed
-  by candidate index, so reports are assembled in exactly the sequential
-  order regardless of completion order.  The differential suite
-  (``tests/test_parallel_driver.py``) pins both modes to byte-identical
-  report lists.
+There is one decide loop: after collection, store replay and triage,
+every pending candidate goes through the
+:class:`~repro.exec.scheduler.QueryScheduler`.  A one-job run solves in
+place with the engine itself (Figure-11/Table-3 semantics: shared
+caches, cumulative memory, budget checked after every query); ``jobs >
+1`` dispatches batches over a worker pool.  Outcomes come back keyed by
+candidate index, so reports are assembled in candidate order regardless
+of completion order.  The differential suite
+(``tests/test_parallel_driver.py``) pins both to byte-identical report
+lists.
 
 :class:`PathSensitiveEngine` is the one orchestration of that loop
-(view, slice cache, execution plan, triage, store binding); Fusion and
-Pinpoint subclass it and supply only how one candidate is decided
-against its slice, their per-query time limit and their engine-specific
-store-fingerprint keys.
+(view, execution plan, triage, store binding); Fusion and Pinpoint
+subclass it and supply only how one candidate is decided against its
+slice, their per-query time limit and their engine-specific
+store-fingerprint keys.  Demand queries
+(:func:`repro.query.engine.run_demand_query`) hand their matched
+candidates to the same :func:`decide_candidates`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
 from repro.limits import (Budget, Deadline, MemoryBudgetExceeded,
-                          QueryDeadlineExceeded, ResourceExceeded,
-                          TimeBudgetExceeded)
+                          ResourceExceeded, TimeBudgetExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.reduce import ViewRegistry
-from repro.pdg.slicing import Slice, compute_slice
+from repro.pdg.slicing import Slice
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.smt.terms import Term
 from repro.sparse.engine import SparseConfig, collect_candidates
 
 if TYPE_CHECKING:  # imported lazily via the plan object; no runtime cycle
     from repro.absint.triage import CandidateTriage
-    from repro.exec.cache import SliceCache
     from repro.exec.scheduler import ExecConfig, ExecutionPlan, QueryOutcome
     from repro.exec.store import StoreBinding
     from repro.exec.telemetry import Telemetry
@@ -66,7 +63,6 @@ class QueryRecord:
     sat_clauses: int = 0
 
 
-SolveFn = Callable[[BugCandidate], SmtResult]
 MemoryFn = Callable[[], tuple[int, int]]  # (total units, condition units)
 
 
@@ -115,70 +111,45 @@ class PathSensitiveEngine:
                 exec_config: Optional["ExecConfig"] = None,
                 telemetry: Optional["Telemetry"] = None,
                 triage=None, store=None) -> AnalysisResult:
-        """Run the checker; ``exec_config`` opts into the query-execution
-        layer (slice memoization, ``jobs > 1`` worker pools, telemetry)
-        and ``triage`` into the abstract-interpretation pre-pass
-        (``True``, a ``TriageConfig`` or a prebuilt ``CandidateTriage``).
-        ``store`` (an :class:`~repro.exec.store.ArtifactStore`) opts into
-        warm re-analysis: cached verdicts whose dependencies are
-        unchanged are replayed instead of re-solved.  With no argument
-        the seed sequential path runs untouched.
+        """Run the checker.  ``exec_config`` sets the query execution
+        (``jobs > 1`` worker pools, fault policy and injection, circuit
+        breaker; the default is one in-place job), ``telemetry``
+        receives the run's timings and counters, and ``triage`` opts
+        into the abstract-interpretation pre-pass (``True``, a
+        ``TriageConfig`` or a prebuilt ``CandidateTriage``).  ``store``
+        (an :class:`~repro.exec.store.ArtifactStore`) opts into warm
+        re-analysis: cached verdicts whose dependencies are unchanged
+        are replayed instead of re-solved.
 
         The engine object may be reused across calls (the serve daemon
         keeps it hot); all per-run state — query records, telemetry, the
         result's counters — is rebuilt here, so one request never
         observes a previous request's numbers."""
         from repro.absint.triage import make_triage
-        from repro.exec.cache import SliceCache
 
         self.query_records = []
         view = self.views.view_for(checker) if self.config.sparsify \
             else None
         if telemetry is not None:
             self.views.flush_telemetry(telemetry)
-        index = view.slice_index if view is not None else None
-        # Sequential-path slice memo (workers keep their own): only when
-        # the caller opted into the exec layer and solves in-process.
-        cache = None
-        if exec_config is not None and exec_config.effective_jobs <= 1:
-            cache = SliceCache(exec_config.slice_cache_capacity,
-                               index=index)
-        execution = self._execution_plan(exec_config, telemetry, index)
+        execution = self._execution_plan(exec_config, telemetry, view)
         triage = make_triage(self.pdg, checker, triage, view=view)
         binding = store.bind(self.pdg,
                              self._store_fingerprint(triage, checker),
                              checker.name, telemetry) \
             if store is not None else None
-        result = run_analysis(self.pdg, checker, self.name,
-                              partial(self.decide, cache=cache, index=index),
-                              self._memory_snapshot, self.config.budget,
-                              self.config.sparse, self.query_records,
-                              execution=execution, triage=triage,
-                              store=binding, view=view)
-        if cache is not None and telemetry is not None:
-            stats = cache.stats()
-            telemetry.record_cache("slice", stats.hits, stats.misses,
-                                   stats.evictions,
-                                   capacity=stats.capacity)
-        return result
+        return run_analysis(self.pdg, checker, self.name, execution,
+                            self._memory_snapshot, self.config.budget,
+                            self.config.sparse, self.query_records,
+                            triage=triage, store=binding, view=view)
 
-    def decide(self, candidate: BugCandidate,
-               cache: Optional["SliceCache"] = None, index=None,
-               time_limit: Optional[float] = None) -> SmtResult:
-        """Slice and solve one candidate under one deadline (slicing
-        included), through ``cache`` when given.  ``time_limit``
-        overrides :attr:`query_time_limit`.  ``QueryDeadlineExceeded``
-        escaping from the slice stage is left to the caller, which
-        reports the query UNKNOWN."""
-        deadline = Deadline.after(self.query_time_limit
-                                  if time_limit is None else time_limit)
-        if cache is not None:
-            the_slice = cache.get(self.pdg, [candidate.path],
-                                  deadline=deadline)
-        else:
-            the_slice = compute_slice(self.pdg, [candidate.path],
-                                      deadline=deadline, index=index)
-        return self.solve_candidate(candidate, the_slice, deadline)
+    def _solve_in_place(self, candidate: BugCandidate, the_slice: Slice,
+                        deadline: Optional[Deadline] = None
+                        ) -> tuple[SmtResult, tuple[int, int]]:
+        """The one-job rung's query: this engine's own solver state and
+        cumulative memory model (see :func:`fresh_engine_query`)."""
+        result = self.solve_candidate(candidate, the_slice, deadline)
+        return result, self._memory_snapshot()
 
     def _store_fingerprint(self, triage, checker: Checker) -> dict:
         """Every knob that can change a cacheable verdict (or the report
@@ -214,33 +185,25 @@ class PathSensitiveEngine:
         }
 
     def _execution_plan(self, exec_config: Optional["ExecConfig"],
-                        telemetry: Optional["Telemetry"], index
-                        ) -> Optional["ExecutionPlan"]:
+                        telemetry: Optional["Telemetry"], view
+                        ) -> "ExecutionPlan":
+        """The scheduler recipe for one run; a private telemetry sink
+        when the caller passed none."""
         from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
+        from repro.exec.telemetry import Telemetry
 
-        if exec_config is None and telemetry is None:
-            return None
-        config = exec_config if exec_config is not None else ExecConfig()
-        spec = None
-        # A fault plan needs the worker path even at jobs=1: injection
-        # hooks live in the scheduler's _WorkerState, and the inline
-        # ladder rung gives single-job runs the same retry/synthesize
-        # machinery.  A per-request query timeout (FaultPolicy) takes
-        # the same route — the worker state is where it overrides the
-        # engine's own limit (the serve daemon's per-request deadlines
-        # rely on this at jobs=1).  A circuit breaker does too:
-        # admission and short-circuiting live in the scheduler.
-        if config.effective_jobs > 1 or config.fault_plan is not None \
-                or config.faults.query_timeout is not None \
-                or config.breaker is not None:
-            # Workers cannot observe the whole run's clock; the
-            # completion loop enforces the budget at batch granularity.
-            spec = WorkerSpec(self.pdg, fresh_engine_query,
-                              (type(self), replace(self.config,
-                                                   budget=None)),
-                              query_timeout=self.query_time_limit,
-                              slice_index=index)
-        return ExecutionPlan(config, spec, telemetry)
+        # Pool workers cannot observe the whole run's clock (the
+        # completion loop enforces the budget per batch), so their fresh
+        # engines run without one.
+        spec = WorkerSpec(self.pdg, fresh_engine_query,
+                          (type(self), replace(self.config, budget=None)),
+                          query_timeout=self.query_time_limit,
+                          slice_index=view.slice_index
+                          if view is not None else None)
+        return ExecutionPlan(
+            exec_config if exec_config is not None else ExecConfig(),
+            spec, telemetry if telemetry is not None else Telemetry(),
+            inline_query=self._solve_in_place)
 
 
 def fresh_engine_query(pdg: ProgramDependenceGraph, recipe: tuple):
@@ -266,75 +229,38 @@ def fresh_engine_query(pdg: ProgramDependenceGraph, recipe: tuple):
 
 
 def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
-                 engine_name: str, solve_candidate: SolveFn,
+                 engine_name: str, execution: "ExecutionPlan",
                  memory_snapshot: MemoryFn,
                  budget: Optional[Budget] = None,
                  sparse_config: Optional[SparseConfig] = None,
                  query_records: Optional[list[QueryRecord]] = None,
-                 execution: Optional["ExecutionPlan"] = None,
                  triage: Optional["CandidateTriage"] = None,
                  store: Optional["StoreBinding"] = None,
                  view=None) -> AnalysisResult:
+    """Algorithm 5: collect Π sparsely, then :func:`decide_candidates`.
+
+    Budget violations end the run with ``result.failure`` set; every
+    report decided before the violation is kept (and committed to the
+    store)."""
     budget = budget if budget is not None else Budget()
     budget.restart_clock()
     result = AnalysisResult(engine_name, checker.name)
-    telemetry = execution.telemetry if execution is not None else None
-    if telemetry is not None:
-        telemetry.annotate(engine=engine_name, checker=checker.name)
+    telemetry = execution.telemetry
+    telemetry.annotate(engine=engine_name, checker=checker.name)
     start = time.perf_counter()
-    #: index -> report, filled by triage and by whichever solve loop runs;
+    #: index -> report, filled by replay, triage and the scheduler;
     #: merged into ``result.reports`` in index order even on budget aborts.
     reports: dict[int, BugReport] = {}
-    pending: Optional[list[int]] = None
     candidates: list[BugCandidate] = []
 
     try:
-        if telemetry is not None:
-            with telemetry.stage("collect"):
-                candidates = collect_candidates(pdg, checker, sparse_config,
-                                                view=view)
-            telemetry.count("candidates", len(candidates))
-        else:
+        with telemetry.stage("collect"):
             candidates = collect_candidates(pdg, checker, sparse_config,
                                             view=view)
+        telemetry.count("candidates", len(candidates))
         result.candidates = len(candidates)
-
-        if store is not None:
-            # Warm-run replay: verdicts whose recorded dependencies are
-            # unchanged come straight from the persistent store; only the
-            # rest flow into triage and the solve loop.
-            if telemetry is not None:
-                with telemetry.stage("store_replay"):
-                    pending = store.replay(candidates, reports)
-            else:
-                pending = store.replay(candidates, reports)
-            result.replayed_verdicts = len(candidates) - len(pending)
-
-        if triage is not None:
-            if telemetry is not None:
-                with telemetry.stage("triage"):
-                    pending = _run_triage(candidates, triage, reports,
-                                          result, pending)
-            else:
-                pending = _run_triage(candidates, triage, reports, result,
-                                      pending)
-            if telemetry is not None:
-                telemetry.record_triage(
-                    result.triage_decided_infeasible,
-                    result.triage_decided_feasible,
-                    len(pending), triage.stats.refinement_steps,
-                    triage.stats.fixpoint.seconds)
-                telemetry.count("triage_decided", result.triage_decided)
-
-        if execution is not None and execution.spec is not None:
-            _run_scheduled(candidates, pending, execution, result, budget,
-                           query_records, reports, store)
-        else:
-            policy = execution.config.faults if execution is not None \
-                else None
-            _run_sequential(candidates, pending, solve_candidate,
-                            memory_snapshot, result, budget, query_records,
-                            telemetry, reports, policy, store)
+        decide_candidates(candidates, execution, result, reports, budget,
+                          query_records, triage, store)
     except MemoryBudgetExceeded:
         result.failure = "memory"
     except TimeBudgetExceeded:
@@ -344,10 +270,7 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
     if store is not None:
         # Persist this run's verdicts (partial results included on budget
         # aborts) and the function records the next diff starts from.
-        if telemetry is not None:
-            with telemetry.stage("store_commit"):
-                store.commit(candidates, reports)
-        else:
+        with telemetry.stage("store_commit"):
             store.commit(candidates, reports)
     result.reports = [reports[index] for index in sorted(reports)]
 
@@ -356,13 +279,48 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
     result.condition_memory_units = max(result.condition_memory_units,
                                         condition)
     result.wall_time = time.perf_counter() - start
-    if telemetry is not None:
-        telemetry.record_memory(result.memory_units,
-                                result.condition_memory_units)
-        telemetry.set_wall_seconds(result.wall_time)
-        if result.failure is not None:
-            telemetry.annotate(failure=result.failure)
+    telemetry.record_memory(result.memory_units,
+                            result.condition_memory_units)
+    telemetry.set_wall_seconds(result.wall_time)
+    if result.failure is not None:
+        telemetry.annotate(failure=result.failure)
     return result
+
+
+def decide_candidates(candidates: list[BugCandidate],
+                      execution: "ExecutionPlan", result: AnalysisResult,
+                      reports: dict[int, BugReport],
+                      budget: Optional[Budget] = None,
+                      query_records: Optional[list[QueryRecord]] = None,
+                      triage: Optional["CandidateTriage"] = None,
+                      store: Optional["StoreBinding"] = None) -> None:
+    """The post-collection pipeline: store replay, then triage, then the
+    scheduler for whatever is still pending.  Fills ``reports`` (keyed
+    by candidate index) and ``result``'s counters; a budget violation
+    propagates after the outcomes so far are recorded."""
+    telemetry = execution.telemetry
+    pending: Optional[list[int]] = None
+    if store is not None:
+        # Warm-run replay: verdicts whose recorded dependencies are
+        # unchanged come straight from the persistent store; only the
+        # rest flow into triage and the solve loop.
+        with telemetry.stage("store_replay"):
+            pending = store.replay(candidates, reports)
+        result.replayed_verdicts = len(candidates) - len(pending)
+
+    if triage is not None:
+        with telemetry.stage("triage"):
+            pending = _run_triage(candidates, triage, reports, result,
+                                  pending)
+        telemetry.record_triage(
+            result.triage_decided_infeasible,
+            result.triage_decided_feasible,
+            len(pending), triage.stats.refinement_steps,
+            triage.stats.fixpoint.seconds)
+        telemetry.count("triage_decided", result.triage_decided)
+
+    _run_scheduled(candidates, pending, execution, result, budget,
+                   query_records, reports, store)
 
 
 def _run_triage(candidates: list[BugCandidate],
@@ -399,91 +357,18 @@ def _run_triage(candidates: list[BugCandidate],
     return pending
 
 
-def _run_sequential(candidates: list[BugCandidate],
-                    pending: Optional[list[int]],
-                    solve_candidate: SolveFn, memory_snapshot: MemoryFn,
-                    result: AnalysisResult, budget: Budget,
-                    query_records: Optional[list[QueryRecord]],
-                    telemetry, reports: dict[int, BugReport],
-                    policy=None, store: Optional["StoreBinding"] = None
-                    ) -> None:
-    """The seed per-candidate loop (shared engine, in submission order).
-
-    ``policy`` (a :class:`~repro.exec.faults.FaultPolicy`, present when
-    the caller opted into the execution layer) enables per-query fault
-    isolation: with ``on_error="unknown"`` a query that raises is
-    reported UNKNOWN instead of unwinding the run.  Without a policy
-    only per-query deadline overruns are isolated (they are part of the
-    query contract, not a failure); run-budget violations always
-    propagate.
-    """
-    indices = range(len(candidates)) if pending is None else pending
-    for index in indices:
-        candidate = candidates[index]
-        t0 = time.perf_counter()
-        error = None
-        timed_out = False
-        try:
-            smt_result = solve_candidate(candidate)
-        except QueryDeadlineExceeded as exc:
-            smt_result = SmtResult(SmtStatus.UNKNOWN)
-            error, timed_out = f"{type(exc).__name__}: {exc}", True
-        except ResourceExceeded:
-            raise
-        except Exception as exc:
-            if policy is None or policy.on_error == "abort":
-                raise
-            smt_result = SmtResult(SmtStatus.UNKNOWN)
-            error = f"{type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - t0
-        if error is not None:
-            result.error_queries += 1
-            if telemetry is not None:
-                telemetry.record_fault(
-                    "query_timeouts" if timed_out else "query_errors")
-        result.smt_queries += 1
-        if smt_result.decided_in_preprocess:
-            result.decided_in_preprocess += 1
-        if smt_result.status is SmtStatus.UNKNOWN:
-            result.unknown_queries += 1
-        if query_records is not None:
-            query_records.append(QueryRecord(
-                smt_result.status, seconds,
-                smt_result.decided_in_preprocess,
-                smt_result.condition_nodes,
-                sat_clauses=smt_result.sat_clauses))
-        if telemetry is not None:
-            telemetry.record_query(smt_result.status, seconds,
-                                   smt_result.decided_in_preprocess,
-                                   smt_result.condition_nodes)
-        if store is not None:
-            store.observe(index, smt_result.status)
-        feasible = smt_result.status is not SmtStatus.UNSAT
-        reports[index] = BugReport(
-            candidate, feasible, smt_result.decided_in_preprocess,
-            seconds, public_witness(smt_result.model))
-        total, condition = memory_snapshot()
-        result.memory_units = max(result.memory_units, total)
-        result.condition_memory_units = max(
-            result.condition_memory_units, condition)
-        if telemetry is not None:
-            telemetry.record_memory(total, condition)
-        budget.check_memory(total)
-        budget.check_time()
-
-
 def _run_scheduled(candidates: list[BugCandidate],
                    pending: Optional[list[int]],
                    execution: "ExecutionPlan", result: AnalysisResult,
-                   budget: Budget,
+                   budget: Optional[Budget],
                    query_records: Optional[list[QueryRecord]],
                    reports: dict[int, BugReport],
                    store: Optional["StoreBinding"] = None) -> None:
-    """Dispatch the candidates through the plan's worker pool.
+    """Solve the pending candidates through the plan's scheduler.
 
     Outcomes are assembled into reports even when a budget violation
-    aborts the run mid-way (the ``finally`` clause), mirroring the
-    sequential loop's partial-results behavior.
+    aborts the run mid-way (the ``finally`` clause): partial results
+    survive, as Table 3's memory-out and timeout rows need.
     """
     scheduler = execution.make_scheduler(budget)
     outcomes: list["QueryOutcome"] = []

@@ -7,7 +7,8 @@ import pytest
 from repro.limits import (Budget, MemoryBudgetExceeded, TimeBudgetExceeded,
                           unlimited)
 from repro.checkers import NullDereferenceChecker
-from repro.fusion import prepare_pdg
+from repro.exec import ExecConfig, ExecutionPlan, WorkerSpec
+from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import compile_source
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import run_analysis
@@ -64,9 +65,19 @@ fun f(a) {
 
 
 def make_driver_run(solve_fn, **kwargs):
+    """One driver run whose in-place query answers ``solve_fn`` and
+    reports a constant (123, 45) memory snapshot, as an engine's
+    ``_memory_snapshot`` would."""
     pdg = prepare_pdg(compile_source(SRC))
+
+    def query(candidate, the_slice, deadline):
+        return solve_fn(candidate), (123, 45)
+
+    plan = ExecutionPlan(ExecConfig(),
+                         WorkerSpec(pdg, lambda _pdg, _config: query, None),
+                         inline_query=query)
     return run_analysis(pdg, NullDereferenceChecker(), "test-engine",
-                        solve_fn, lambda: (123, 45), **kwargs)
+                        plan, lambda: (123, 45), **kwargs)
 
 
 class TestDriver:
@@ -109,6 +120,19 @@ class TestDriver:
         # Partial results are preserved.
         assert result.smt_queries >= 1
 
+    def test_memory_budget_enforced_between_queries(self):
+        # The snapshot after the first query (123 units) is over budget:
+        # the run stops there, keeping that query's report (Table 3's
+        # memory-out rows report partial results).
+        result = make_driver_run(lambda c: SmtResult(SmtStatus.SAT),
+                                 budget=Budget(max_memory_units=100))
+        assert result.failure == "memory"
+        assert result.smt_queries == 1
+        assert result.candidates == 2
+        assert len(result.reports) == 1
+        assert result.reports[0].feasible
+        assert result.memory_units == 123
+
     def test_preprocess_decisions_counted(self):
         result = make_driver_run(
             lambda c: SmtResult(SmtStatus.SAT, decided_in_preprocess=True))
@@ -128,6 +152,37 @@ class TestDriver:
         sat = make_driver_run(lambda c: SmtResult(SmtStatus.SAT))
         assert sat.unknown_queries == 0
         assert "unknown" not in sat.summary()
+
+
+class _FirstQueryRaises(FusionEngine):
+    """A Fusion engine whose first solve hits an ordinary bug."""
+
+    raised = False
+
+    def solve_candidate(self, candidate, the_slice, deadline=None):
+        if not self.raised:
+            self.raised = True
+            raise RuntimeError("solver bug")
+        return super().solve_candidate(candidate, the_slice, deadline)
+
+
+def test_plain_run_isolates_a_raising_query_as_unknown():
+    """``--on-error unknown`` is the default for every run, not only for
+    runs that pass an exec config: a query that raises is reported
+    UNKNOWN (feasible, no witness) and the run completes."""
+    pdg = prepare_pdg(compile_source(SRC))
+    plain = _FirstQueryRaises(pdg).analyze(NullDereferenceChecker())
+    configured = _FirstQueryRaises(pdg).analyze(
+        NullDereferenceChecker(), exec_config=ExecConfig())
+    for result in (plain, configured):
+        assert result.failure is None
+        assert result.error_queries == 1
+        assert result.unknown_queries == 1
+        assert result.smt_queries == 2
+        assert result.reports[0].feasible
+        assert result.reports[0].witness == {}
+    assert [(r.feasible, r.witness) for r in plain.reports] == \
+        [(r.feasible, r.witness) for r in configured.reports]
 
 
 #: A query the preprocessor cannot settle and the SAT back end cannot

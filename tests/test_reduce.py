@@ -238,6 +238,25 @@ def test_adopt_remaps_views_untouched_by_the_edit():
         [r.feasible for r in before.reports]
 
 
+def test_remapped_view_condensation_follows_shifted_indices():
+    """Growing ``leaf`` shifts every later vertex index while the taint
+    view is remapped, not rebuilt; a hot demand query must still see
+    the live source (the remapped view once kept the old numbering's
+    condensation and skipped it)."""
+    grown = SOURCE.replace(LEAF, LEAF.replace(
+        "  return y;", "  z = y + 1;\n  return z;"))
+    sink_line = grown.splitlines().index("  fopen(s);") + 1
+    hot = AnalysisSession(SOURCE, settings=EngineSettings())
+    hot.analyze("cwe-23")
+    hot.update_source(grown)
+    assert reduce_counters(hot)["views_remapped"] == 1
+    fresh = AnalysisSession(grown, settings=EngineSettings())
+    verdict = hot.query("cwe-23", sink=sink_line)
+    assert verdict.feasible
+    assert verdict.findings == fresh.query("cwe-23",
+                                           sink=sink_line).findings
+
+
 def test_adopt_invalidates_views_observing_the_edit():
     session = AnalysisSession(SOURCE, settings=EngineSettings())
     session.analyze("cwe-23")
